@@ -260,11 +260,8 @@ def xyc_exit_code(rows) -> int:
     return 0
 
 
-def length_exit_code(checks) -> int:
-    return 0 if all(check.ok for check in checks) else 1
-
-
-def series_exit_code(checks) -> int:
+def checks_exit_code(checks) -> int:
+    """0 when every length or series check passed, 1 otherwise."""
     return 0 if all(check.ok for check in checks) else 1
 
 
@@ -307,7 +304,7 @@ def _cmd_verify(args) -> int:
                 for check in checks
             ]
             _emit_rows(dicts, LENGTH_HEADER, fmt, out)
-            exit_code = max(exit_code, length_exit_code(checks))
+            exit_code = max(exit_code, checks_exit_code(checks))
         elif scope == "length":
             raise UsageError("length scope needs a single modulus")
         else:
@@ -336,7 +333,7 @@ def _cmd_verify(args) -> int:
             for check in checks
         ]
         _emit_rows(dicts, SERIES_HEADER, fmt, out)
-        exit_code = max(exit_code, series_exit_code(checks))
+        exit_code = max(exit_code, checks_exit_code(checks))
 
     return exit_code
 

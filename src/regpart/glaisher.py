@@ -33,6 +33,11 @@ class InvalidTriple(ValueError):
     """The insertion map was given data outside its domain."""
 
 
+class PreimageCountMismatch(RuntimeError):
+    """A preimage census broke the counting identity: an internal fault,
+    never a problem with the input."""
+
+
 MERGE = "merge"
 SPLIT = "split"
 
@@ -224,7 +229,7 @@ def insertion_preimages(
     preimages is checked on the fly against the counting identity: it equals
     the number of distinct sizes with multiplicity at least the residue when
     the target is regular, exactly 1 when the target is inferior-regular,
-    and 0 otherwise.
+    and 0 otherwise; a disagreement raises PreimageCountMismatch.
     """
     head = moduli.head
     if not 1 <= residue <= head - 1:
@@ -241,8 +246,9 @@ def insertion_preimages(
             expected = 1
         else:
             expected = 0
-        assert len(found) == expected, (
-            f"preimage count {len(found)} disagrees with the counting "
-            f"identity value {expected} for {target}"
-        )
+        if len(found) != expected:
+            raise PreimageCountMismatch(
+                f"preimage count {len(found)} disagrees with the counting "
+                f"identity value {expected} for {target}"
+            )
     return found

@@ -3,9 +3,11 @@
 All coefficients are Python integers, so every identity checked here is
 exact: a truncated series knows itself up to some degree and any arithmetic
 result is truncated to the smallest degree among its inputs. The family
-generating functions are built from Euler products, their inverses, and
-geometric tails, and are verified coefficient by coefficient against direct
-enumeration.
+generating functions are built in place from sparse factors: one rising
+pass per factor 1 / (1 - q^k), over the k no modulus divides, gives the
+product forms, and the inferior-regular family multiplies them into a tail
+of divisor counts. They are verified coefficient by coefficient against
+direct enumeration.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from math import prod
 
 from .classes import (
     ALL,
-    CLASS_REGULAR,
     INFERIOR_REGULAR,
-    REGULAR,
     ModulusTuple,
     PartitionClass,
     count_class,
@@ -171,66 +171,59 @@ def geometric_tail(base: int, truncation: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def _subset_product(moduli: ModulusTuple, truncation: int) -> TruncatedSeries:
-    # Product over all subsets of the moduli of the Euler product at the
-    # subset's product, direct for odd subsets and inverted for even ones.
-    # The empty subset contributes the inverse of the plain Euler product,
-    # whose coefficients count unrestricted partitions.
-    series = TruncatedSeries.one(truncation)
-    values = tuple(moduli)
-    for size in range(len(values) + 1):
-        for combo in combinations(values, size):
-            factor = euler_product(prod(combo), truncation)
-            if size % 2 == 1:
-                series = series * factor
-            else:
-                series = series * factor.invert()
-    return series
+def _factor_product(coeffs: list[int], forbidden: tuple[int, ...]) -> list[int]:
+    # Multiplies coeffs in place by 1 / (1 - q^k) for every k >= 1 that no
+    # forbidden modulus divides: one rising pass c[d] += c[d - k] per factor.
+    n = len(coeffs) - 1
+    for k in range(1, n + 1):
+        if all(k % m for m in forbidden):
+            for d in range(k, n + 1):
+                coeffs[d] += coeffs[d - k]
+    return coeffs
+
+
+def _check_truncation(truncation: int) -> None:
+    if truncation < 0:
+        raise ValueError(f"truncation must be nonnegative, got {truncation}")
 
 
 def gf_class(family: PartitionClass, truncation: int) -> TruncatedSeries:
     """Generating function of the family, truncated.
 
     Coefficient d counts the members of total size d. The regular and
-    class-regular families of the same tuple share one closed form; the
-    inferior-regular coefficients also equal the total number of merge
-    operations over the class-regular family at each size.
+    class-regular families of the same tuple share one closed form, the
+    product of 1 / (1 - q^k) over the k that no modulus divides; ``all``
+    takes the product over every k. The inferior-regular coefficients also
+    equal the total number of merge operations over the class-regular
+    family at each size.
     """
-    if family.kind == ALL:
-        return euler_product(1, truncation).invert()
-    mt = family.moduli
-    if family.kind in (REGULAR, CLASS_REGULAR):
-        return _subset_product(mt, truncation)
-    if len(mt) == 1:
-        # single modulus: product form times the sum of geometric tails at
-        # the multiples of the modulus
-        r = mt.head
-        tails = TruncatedSeries.zero(truncation)
-        for k in range(1, truncation // r + 1):
-            tails = tails + geometric_tail(r * k, truncation)
-        return _subset_product(mt, truncation) * tails
-    return gf_tuple_inferior(mt, truncation)
+    _check_truncation(truncation)
+    if family.kind == INFERIOR_REGULAR:
+        return gf_tuple_inferior(family.moduli, truncation)
+    forbidden = () if family.kind == ALL else tuple(family.moduli)
+    return TruncatedSeries(_factor_product([1] + [0] * truncation, forbidden))
 
 
 def gf_tuple_inferior(moduli: ModulusTuple, truncation: int) -> TruncatedSeries:
     """Inferior-regular generating function via subset inclusion-exclusion.
 
-    Works for any validated tuple, including a single modulus; the sum runs
-    over the subsets containing the leading modulus, with alternating signs
-    on the geometric tails at multiples of each subset's product.
+    Works for any validated tuple, including a single modulus. The family's
+    product form multiplies a tail whose coefficient at d is the sum, over
+    the subsets S of the non-leading moduli, of (-1)^|S| times the number
+    of divisors of d / (head * prod S), counted only when head * prod S
+    divides d.
     """
-    total = TruncatedSeries.zero(truncation)
+    _check_truncation(truncation)
+    tail = [0] * (truncation + 1)
     for size in range(len(moduli.tail) + 1):
+        sign = -1 if size % 2 else 1
         for combo in combinations(moduli.tail, size):
             block = moduli.head * prod(combo)
-            inner = TruncatedSeries.zero(truncation)
-            for k in range(1, truncation // block + 1):
-                inner = inner + geometric_tail(k * block, truncation)
-            if size % 2 == 0:
-                total = total + inner
-            else:
-                total = total - inner
-    return _subset_product(moduli, truncation) * total
+            # one count at d for each multiple of the block that divides d
+            for base in range(block, truncation + 1, block):
+                for d in range(base, truncation + 1, base):
+                    tail[d] += sign
+    return TruncatedSeries(_factor_product(tail, tuple(moduli)))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,8 @@ from regpart.cli import (
     UsageError,
     _guard_n,
     _guard_trunc,
-    length_exit_code,
+    checks_exit_code,
     main,
-    series_exit_code,
     xyc_exit_code,
 )
 from regpart.qseries import SeriesCheck
@@ -316,15 +315,15 @@ class TestExitCodeReducers:
     def test_length_reducer(self):
         good = LengthCheck(2, 3, 4, 3, 1, True)
         bad = LengthCheck(2, 3, 4, 3, 2, False)
-        assert length_exit_code([good]) == 0
-        assert length_exit_code([good, bad]) == 1
+        assert checks_exit_code([good]) == 0
+        assert checks_exit_code([good, bad]) == 1
 
     def test_series_reducer(self):
         family = PartitionClass.regular(2)
         good = SeriesCheck(family, 2, TruncatedSeries([1, 1, 1]), None, None, None)
         bad = SeriesCheck(family, 2, TruncatedSeries([1, 1, 1]), 2, None, None)
-        assert series_exit_code([good]) == 0
-        assert series_exit_code([bad]) == 1
+        assert checks_exit_code([good]) == 0
+        assert checks_exit_code([bad]) == 1
 
 
 class TestGuards:

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -13,6 +16,7 @@ from regpart import (
     NotRegular,
     Partition,
     PartitionClass,
+    PreimageCountMismatch,
     TooSmall,
     count_congruent_parts,
     count_repeated_sizes,
@@ -25,6 +29,7 @@ from regpart import (
     is_member,
     validate_tuple,
 )
+from regpart import glaisher
 
 parts_lists = st.lists(st.integers(min_value=1, max_value=12), max_size=14)
 
@@ -290,3 +295,36 @@ class TestInsertionPreimages:
                 assert insertion_map(mt, 1, triple) == mu
                 assert triple.part % mt.head == 1
                 assert 1 <= triple.copies <= triple.partition.multiplicity(triple.part)
+
+
+_WRONG_CENSUS = """
+import sys
+from regpart import Partition, PreimageCountMismatch, glaisher, validate_tuple
+glaisher._image_census = lambda moduli, residue, n: {}
+try:
+    glaisher.insertion_preimages(validate_tuple(3), 1, 7, Partition([7]))
+except PreimageCountMismatch:
+    print("optimize", sys.flags.optimize, "raised")
+"""
+
+
+class TestPreimageCountCheck:
+    def test_wrong_census_raises(self, monkeypatch):
+        # the single-part target has exactly one preimage; an empty census
+        # breaks the counting identity
+        monkeypatch.setattr(glaisher, "_image_census", lambda moduli, residue, n: {})
+        with pytest.raises(PreimageCountMismatch):
+            insertion_preimages(validate_tuple(3), 1, 7, Partition([7]))
+
+    def test_mismatch_is_not_a_user_error(self):
+        assert issubclass(PreimageCountMismatch, RuntimeError)
+        assert not issubclass(PreimageCountMismatch, ValueError)
+
+    def test_check_survives_optimized_interpreter(self):
+        src = os.path.dirname(os.path.dirname(glaisher.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", _WRONG_CENSUS],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert result.stdout.split() == ["optimize", "1", "raised"]

@@ -14,6 +14,8 @@ from oracles import (
     pentagonal_coefficients,
 )
 from regpart import (
+    ALL,
+    INFERIOR_REGULAR,
     NonInvertible,
     PartitionClass,
     TruncatedSeries,
@@ -322,3 +324,51 @@ class TestVerification:
         # one member but the regular family two
         assert check.series[3] == 1
         assert count_class(PartitionClass.regular(2), 3) == 2
+
+
+def _subset_inclusion_exclusion(family, trunc):
+    # The generating functions rebuilt from public primitives alone: per
+    # subset of the moduli an Euler product at the subset's product, direct
+    # for odd subsets and inverted for even ones, and for the inferior
+    # family a sum of geometric tails with alternating signs. Independent of
+    # the sparse-factor construction in gf_class.
+    if family.kind == ALL:
+        return euler_product(1, trunc).invert()
+    mt = family.moduli
+    series = TruncatedSeries.one(trunc)
+    for size in range(len(mt) + 1):
+        for combo in combinations(mt, size):
+            factor = euler_product(prod(combo), trunc)
+            series = series * (factor if size % 2 else factor.invert())
+    if family.kind != INFERIOR_REGULAR:
+        return series
+    tails = TruncatedSeries.zero(trunc)
+    for size in range(len(mt.tail) + 1):
+        for combo in combinations(mt.tail, size):
+            block = mt.head * prod(combo)
+            inner = _tail_sum([block * k for k in range(1, trunc // block + 1)], trunc)
+            tails = tails - inner if size % 2 else tails + inner
+    return series * tails
+
+
+class TestSecondWitness:
+    TRUNC = 120
+
+    def test_all_matches_inverted_euler_product(self):
+        family = PartitionClass.all_partitions()
+        assert gf_class(family, self.TRUNC) == _subset_inclusion_exclusion(family, self.TRUNC)
+
+    @pytest.mark.parametrize(
+        "raw", [2, 3, 4, 5, (2, 3), (3, 4), (3, 5), (3, 7), (2, 3, 7)]
+    )
+    def test_families_match_subset_inclusion_exclusion(self, raw):
+        for family in (
+            PartitionClass.class_regular(raw),
+            PartitionClass.regular(raw),
+            PartitionClass.inferior_regular(raw),
+        ):
+            got = gf_class(family, self.TRUNC).coefficients
+            expected = _subset_inclusion_exclusion(family, self.TRUNC).coefficients
+            assert len(got) == self.TRUNC + 1
+            for d, (a, b) in enumerate(zip(got, expected)):
+                assert a == b, f"{family} differs at degree {d}"
