@@ -162,59 +162,68 @@ def is_member(partition: Partition, family: PartitionClass) -> bool:
     return heavy == 1
 
 
-def _runs_stream(n, limit, divisors, cap, prefix):
-    # Partitions of n into parts <= limit avoiding the divisors, with
-    # multiplicities below cap when cap is set, as run tuples in descending
-    # lexicographic order of the part sequences.
-    if n == 0:
-        yield tuple(prefix)
-        return
-    for part in range(min(limit, n), 0, -1):
-        if any(part % d == 0 for d in divisors):
-            continue
-        top = n // part
-        if cap is not None and top >= cap:
-            top = cap - 1
-        for mult in range(top, 0, -1):
-            prefix.append((part, mult))
-            yield from _runs_stream(n - part * mult, part - 1, divisors, cap, prefix)
-            prefix.pop()
-
-
-def _inferior_stream(n, limit, divisors, head, have_heavy, prefix):
-    # Same order as _runs_stream, keeping only partitions with exactly one
-    # part size of multiplicity >= head.
-    if n == 0:
-        if have_heavy:
-            yield tuple(prefix)
-        return
-    if not have_heavy and n < head:
-        return  # no room left for a run of multiplicity >= head
-    for part in range(min(limit, n), 0, -1):
-        if any(part % d == 0 for d in divisors):
-            continue
-        for mult in range(n // part, 0, -1):
-            if have_heavy and mult >= head:
+def _run_tuples(n, divisors, cap, heavy):
+    # Partitions of n avoiding the divisors, as run tuples in descending lex
+    # order, with multiplicities at most cap; a nonzero heavy asks for exactly
+    # one run of multiplicity >= heavy and keeps the others below it. Fills
+    # greedily, then backtracks by decrementing the last multiplicity.
+    # per v: the largest allowed part <= v, and the sum of all allowed parts <= v
+    largest, room = [0] * (n + 1), [0] * (n + 1)
+    for v in range(1, n + 1):
+        allowed = all(v % d for d in divisors)
+        largest[v] = v if allowed else largest[v - 1]
+        room[v] = room[v - 1] + (v if allowed else 0)
+    runs, rems = [], []  # runs so far, remainder before each run
+    rem = limit = n
+    bound, need, heavy_at = cap, heavy, -1
+    while True:
+        part = largest[rem if rem < limit else limit] if rem >= need else 0
+        if part:
+            mult = rem // part
+            if mult > bound:
+                mult = bound
+        else:
+            if not rem and not need:
+                yield tuple(runs)
+            while True:
+                if not runs:
+                    return
+                part, mult = runs.pop()
+                rem = rems.pop()
+                if heavy_at == len(runs):
+                    bound, need, heavy_at = cap, heavy, -1
+                # stay on this level only if smaller parts can fill what it leaves
+                if rem - part * (mult - 1) <= bound * room[part - 1]:
+                    break
+            mult -= 1
+            if not mult:  # move this level on to the next smaller part
+                limit = part - 1
                 continue
-            prefix.append((part, mult))
-            yield from _inferior_stream(
-                n - part * mult, part - 1, divisors, head,
-                have_heavy or mult >= head, prefix,
-            )
-            prefix.pop()
+        if need and mult >= need:
+            bound, need, heavy_at = heavy - 1, 0, len(runs)
+        runs.append((part, mult))
+        rems.append(rem)
+        rem -= part * mult
+        limit = part - 1
 
 
 def _family_runs(family: PartitionClass, n: int):
     if n < 0:
         raise ValueError(f"partition sizes are nonnegative, got {n}")
     if family.kind == ALL:
-        return _runs_stream(n, n, (), None, [])
+        return _run_tuples(n, (), n, 0)
     mt = family.moduli
     if family.kind == CLASS_REGULAR:
-        return _runs_stream(n, n, mt.moduli, None, [])
+        return _run_tuples(n, mt.moduli, n, 0)
     if family.kind == REGULAR:
-        return _runs_stream(n, n, mt.tail, mt.head, [])
-    return _inferior_stream(n, n, mt.tail, mt.head, False, [])
+        return _run_tuples(n, mt.tail, mt.head - 1, 0)
+    return _run_tuples(n, mt.tail, n, mt.head)
+
+
+def enumerate_runs(family: PartitionClass, n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Run tuples ``((part, mult), ...)`` of the family's members of size n,
+    in the order of enumerate_class, without building Partition objects."""
+    yield from _family_runs(family, n)
 
 
 def enumerate_class(family: PartitionClass, n: int) -> Iterator[Partition]:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success (including verification runs whose only failures
 are informational), 1 for a verification failure that was expected to hold,
-2 for invalid input or out-of-range requests.
+2 for invalid input or out-of-range requests, 3 for an internal error, with
+its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 
 from .classes import (
     ALL,
@@ -33,6 +35,10 @@ from .stats import XYCRow, verify_length_identity, verify_xyc
 MAX_PLAIN_N = 200
 MAX_PLAIN_TRUNC = 500
 
+class UsageError(ValueError):
+    pass
+
+
 _DOMAIN_ERRORS = (
     EmptyTuple,
     TooSmall,
@@ -41,12 +47,8 @@ _DOMAIN_ERRORS = (
     InvalidTriple,
     NonInvertible,
     NotSubMultiset,
-    ValueError,
+    UsageError,
 )
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _parse_moduli(text: str) -> ModulusTuple:
@@ -65,6 +67,8 @@ def _parse_parts(text: str) -> Partition:
         values = [int(piece) for piece in stripped.split(",")]
     except ValueError:
         raise UsageError(f"cannot parse parts {text!r}") from None
+    if any(value < 1 for value in values):
+        raise UsageError(f"parts must be positive, got {text!r}")
     return Partition(values)
 
 
@@ -96,6 +100,8 @@ def _guard_n(values: list[int], force: bool) -> None:
 
 
 def _guard_trunc(trunc: int, force: bool) -> None:
+    if trunc < 0:
+        raise UsageError(f"truncation must be nonnegative, got {trunc}")
     if trunc > MAX_PLAIN_TRUNC and not force:
         raise UsageError(
             f"refusing truncation {trunc} above {MAX_PLAIN_TRUNC}; "
@@ -386,6 +392,9 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 def run() -> None:

@@ -117,6 +117,17 @@ def glaisher_forward(partition: Partition, modulus: int) -> GlaisherTrace:
     return GlaisherTrace(partition, end, modulus, tuple(steps))
 
 
+def merge_counts(modulus: int, top: int) -> list[int]:
+    """Merge steps of a run of m copies of one class-regular part, m = 0..top:
+    (m - s(m)) / (modulus - 1), s(m) the base-modulus digit sum of m. Summed
+    over its runs, this is a class-regular partition's operation count."""
+    _check_modulus(modulus)
+    digit_sums = [0] * (top + 1)
+    for m in range(1, top + 1):
+        digit_sums[m] = digit_sums[m // modulus] + m % modulus
+    return [(m - s) // (modulus - 1) for m, s in enumerate(digit_sums)]
+
+
 def glaisher_inverse(partition: Partition, modulus: int) -> GlaisherTrace:
     """Split until no part is divisible by the modulus.
 

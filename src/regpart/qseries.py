@@ -23,9 +23,9 @@ from .classes import (
     ModulusTuple,
     PartitionClass,
     count_class,
-    enumerate_class,
+    enumerate_runs,
 )
-from .glaisher import glaisher_forward
+from .glaisher import merge_counts
 
 
 class NonInvertible(ValueError):
@@ -254,32 +254,25 @@ class SeriesCheck:
         return self.count_mismatch is None and self.operations_mismatch is None
 
 
+def _first_difference(series: TruncatedSeries, value_at) -> int | None:
+    return next(
+        (d for d in range(series.truncation + 1) if series[d] != value_at(d)), None
+    )
+
+
 def verify_series_vs_enumeration(family: PartitionClass, truncation: int) -> SeriesCheck:
     """Compare every coefficient up to the truncation with enumeration."""
     series = gf_class(family, truncation)
-    count_mismatch = None
-    for d in range(truncation + 1):
-        if series[d] != count_class(family, d):
-            count_mismatch = d
-            break
-    operations_mismatch = None
-    regular_differs = None
+    count_mismatch = _first_difference(series, lambda d: count_class(family, d))
+    operations_mismatch = regular_differs = None
     if family.kind == INFERIOR_REGULAR:
         mt = family.moduli
-        source = PartitionClass.class_regular(mt)
-        for d in range(truncation + 1):
-            operations = sum(
-                glaisher_forward(lam, mt.head).count
-                for lam in enumerate_class(source, d)
-            )
-            if series[d] != operations:
-                operations_mismatch = d
-                break
-        regular = PartitionClass.regular(mt)
-        for d in range(truncation + 1):
-            if series[d] != count_class(regular, d):
-                regular_differs = d
-                break
+        source, regular = PartitionClass.class_regular(mt), PartitionClass.regular(mt)
+        merges = merge_counts(mt.head, truncation)
+        operations_mismatch = _first_difference(series, lambda d: sum(
+            merges[mult] for runs in enumerate_runs(source, d) for _, mult in runs
+        ))
+        regular_differs = _first_difference(series, lambda d: count_class(regular, d))
     return SeriesCheck(
         family=family,
         truncation=truncation,

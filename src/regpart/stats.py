@@ -8,7 +8,8 @@ the total number of merge operations, which in turn equals the number of
 inferior-regular partitions of n. The identity needs every tail modulus to
 be congruent to 1 modulo the leading one; the aggregate report records
 whether that hypothesis holds so a failure can be told apart from a
-counterexample.
+counterexample. The folds read run tuples and count merge operations in
+closed form from the run multiplicities, without simulating any merge.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from .classes import (
     ModulusTuple,
     PartitionClass,
     count_class,
-    enumerate_class,
+    enumerate_runs,
     validate_tuple,
 )
-from .glaisher import glaisher_forward
+from .glaisher import merge_counts
 from .partition import Partition
 
 
@@ -67,17 +68,18 @@ def aggregate(moduli: ModulusTuple | int, n: int) -> XYCReport:
     """One pass over each family, collecting every residue at once."""
     moduli = validate_tuple(moduli)
     head = moduli.head
-    x_totals = {j: 0 for j in range(1, head)}
-    y_totals = {j: 0 for j in range(1, head)}
+    merges = merge_counts(head, n)
+    x_totals = [0] * head
     operations = 0
-    for lam in enumerate_class(PartitionClass.class_regular(moduli), n):
-        for part, mult in lam.runs:
+    for runs in enumerate_runs(PartitionClass.class_regular(moduli), n):
+        for part, mult in runs:
             x_totals[part % head] += mult
-        operations += glaisher_forward(lam, head).count
-    for mu in enumerate_class(PartitionClass.regular(moduli), n):
-        for _, mult in mu.runs:
-            for j in range(1, min(mult, head - 1) + 1):
-                y_totals[j] += 1
+            operations += merges[mult]
+    runs_by_mult = [0] * head  # regular multiplicities stay below head
+    for runs in enumerate_runs(PartitionClass.regular(moduli), n):
+        for _, mult in runs:
+            runs_by_mult[mult] += 1
+    y_totals = [sum(runs_by_mult[j:]) for j in range(head)]
     per_residue = {
         j: (x_totals[j], y_totals[j], x_totals[j] - y_totals[j])
         for j in range(1, head)
@@ -158,13 +160,15 @@ class LengthCheck:
 def verify_length_identity(modulus: int, n: int) -> LengthCheck:
     """Compare the two length sums with the operation total."""
     mt = ModulusTuple((modulus,))
+    merges = merge_counts(modulus, n)
     class_sum = 0
     operations = 0
-    for lam in enumerate_class(PartitionClass.class_regular(mt), n):
-        class_sum += lam.length
-        operations += glaisher_forward(lam, modulus).count
+    for runs in enumerate_runs(PartitionClass.class_regular(mt), n):
+        for _, mult in runs:
+            class_sum += mult
+            operations += merges[mult]
     regular_sum = sum(
-        mu.length for mu in enumerate_class(PartitionClass.regular(mt), n)
+        mult for runs in enumerate_runs(PartitionClass.regular(mt), n) for _, mult in runs
     )
     ok = class_sum - regular_sum == (modulus - 1) * operations
     return LengthCheck(

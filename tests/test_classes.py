@@ -1,3 +1,5 @@
+from itertools import groupby
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +19,8 @@ from regpart import (
     TooSmall,
     count_class,
     enumerate_class,
+    enumerate_runs,
+    gf_class,
     is_member,
     validate_tuple,
 )
@@ -232,3 +236,27 @@ def test_regular_and_inferior_are_disjoint(raw, n):
     regular = set(enumerate_class(PartitionClass.regular(mt), n))
     inferior = set(enumerate_class(PartitionClass.inferior_regular(mt), n))
     assert not regular & inferior
+
+
+def _runs_of(parts):
+    return tuple((part, len(list(copies))) for part, copies in groupby(parts))
+
+
+@pytest.mark.parametrize("raw", TUPLE_POOL)
+def test_enumeration_order_is_exhaustively_the_oracle_order(raw):
+    mt = validate_tuple(raw)
+    families = dict(_families(mt), all=(PartitionClass.all_partitions(), lambda q: True))
+    for n in range(21):
+        everything = list(partitions_desc(n))
+        for family, predicate in families.values():
+            expected = [q for q in everything if predicate(q)]
+            assert [p.parts for p in enumerate_class(family, n)] == expected
+            assert list(enumerate_runs(family, n)) == [_runs_of(q) for q in expected]
+
+
+@pytest.mark.parametrize("raw", [(3,), (2, 3), (3, 7)])
+def test_counts_match_series_to_degree_60(raw):
+    mt = validate_tuple(raw)
+    for family, _ in _families(mt).values():
+        series = gf_class(family, 60)
+        assert [count_class(family, d) for d in range(61)] == list(series.coefficients)

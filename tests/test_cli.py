@@ -338,3 +338,26 @@ class TestGuards:
         _guard_trunc(501, True)
         with pytest.raises(UsageError):
             _guard_trunc(501, False)
+
+
+class TestErrorMapping:
+    def test_non_positive_part_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "glaisher", "--parts", "0", "--r", "2")
+        assert code == 2
+        assert "UsageError" in err
+
+    def test_negative_truncation_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "verify", "--scope", "series", "--moduli", "3", "--trunc", "-1")
+        assert code == 2
+        assert "UsageError" in err
+
+    def test_internal_value_error_exits_3_with_traceback(self, capsys, monkeypatch):
+        def broken(moduli, n):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr("regpart.cli.verify_xyc", broken)
+        code, out, err = run(capsys, "verify", "--scope", "xyc", "--moduli", "3", "--n", "4")
+        assert code == 3
+        assert out == ""
+        assert "Traceback" in err
+        assert "ValueError: internal fault" in err

@@ -30,6 +30,7 @@ from regpart import (
     validate_tuple,
 )
 from regpart import glaisher
+from regpart.glaisher import merge_counts
 
 parts_lists = st.lists(st.integers(min_value=1, max_value=12), max_size=14)
 
@@ -138,6 +139,25 @@ def class_regular_inputs(draw):
 def test_count_matches_closed_form(data):
     r, p = data
     assert glaisher_forward(p, r).count == merge_count_closed_form(p.parts, r)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_closed_form_counts_every_class_regular_partition(r):
+    # exhaustive second witness: the closed form against the simulated merges
+    merges = merge_counts(r, 18)
+    family = PartitionClass.class_regular(r)
+    for n in range(19):
+        for p in enumerate_class(family, n):
+            closed = sum(merges[mult] for _, mult in p.runs)
+            assert closed == glaisher_forward(p, r).count
+
+
+def test_closed_form_table():
+    assert merge_counts(2, 8) == [0, 0, 1, 1, 3, 3, 4, 4, 7]
+    assert merge_counts(3, 9) == [0, 0, 0, 1, 1, 1, 2, 2, 2, 4]
+    assert merge_counts(5, 0) == [0]
+    with pytest.raises(TooSmall):
+        merge_counts(1, 4)
 
 
 @given(class_regular_inputs())

@@ -13,9 +13,12 @@ from oracles import (
 )
 from regpart import (
     Partition,
+    PartitionClass,
     aggregate,
     count_congruent_parts,
     count_repeated_sizes,
+    enumerate_class,
+    glaisher_forward,
     validate_tuple,
     verify_length_identity,
     verify_xyc,
@@ -135,6 +138,16 @@ def test_aggregate_matches_brute_force(raw, n):
     assert report.inferior_count == sum(
         1 for q in everything if in_inferior(q, head, tail)
     )
+
+
+@pytest.mark.parametrize("raw", [(3,), (2, 3), (3, 7)])
+def test_operation_total_matches_simulated_merges(raw):
+    # the closed-form operation total against the traced merge map
+    mt = validate_tuple(raw)
+    family = PartitionClass.class_regular(mt)
+    for n in range(17):
+        simulated = sum(glaisher_forward(lam, mt.head).count for lam in enumerate_class(family, n))
+        assert aggregate(mt, n).operation_total == simulated
 
 
 class TestLengthIdentity:
