@@ -117,6 +117,8 @@ class PartitionClass:
             raise ValueError(f"unknown partition class kind {self.kind!r}")
         if (self.moduli is None) != (self.kind == ALL):
             raise ValueError("moduli must be given exactly for the restricted kinds")
+        if self.moduli is not None and not isinstance(self.moduli, ModulusTuple):
+            object.__setattr__(self, "moduli", validate_tuple(self.moduli))
 
     @classmethod
     def all_partitions(cls) -> PartitionClass:
@@ -124,15 +126,15 @@ class PartitionClass:
 
     @classmethod
     def regular(cls, moduli) -> PartitionClass:
-        return cls(REGULAR, validate_tuple(moduli))
+        return cls(REGULAR, moduli)
 
     @classmethod
     def class_regular(cls, moduli) -> PartitionClass:
-        return cls(CLASS_REGULAR, validate_tuple(moduli))
+        return cls(CLASS_REGULAR, moduli)
 
     @classmethod
     def inferior_regular(cls, moduli) -> PartitionClass:
-        return cls(INFERIOR_REGULAR, validate_tuple(moduli))
+        return cls(INFERIOR_REGULAR, moduli)
 
     def __contains__(self, partition: Partition) -> bool:
         return is_member(partition, self)
@@ -143,23 +145,28 @@ class PartitionClass:
         return f"{self.kind}({self.moduli})"
 
 
-def _hits_divisor(partition: Partition, divisors: tuple[int, ...]) -> bool:
-    return any(part % d == 0 for part, _ in partition.runs for d in divisors)
+def _shape(family: PartitionClass):
+    # The family definition as (forbidden divisors, multiplicity cap or None,
+    # heavy threshold): a nonzero threshold asks for exactly one run of at
+    # least that multiplicity.
+    kind, mt = family.kind, family.moduli
+    if kind == ALL:
+        return (), None, 0
+    if kind == CLASS_REGULAR:
+        return mt.moduli, None, 0
+    if kind == REGULAR:
+        return mt.tail, mt.head - 1, 0
+    return mt.tail, None, mt.head
 
 
 def is_member(partition: Partition, family: PartitionClass) -> bool:
     """Membership test against the family definition."""
-    if family.kind == ALL:
-        return True
-    mt = family.moduli
-    if family.kind == CLASS_REGULAR:
-        return not _hits_divisor(partition, mt.moduli)
-    if _hits_divisor(partition, mt.tail):
+    divisors, cap, heavy = _shape(family)
+    if divisors and any(part % d == 0 for part, _ in partition.runs for d in divisors):
         return False
-    if family.kind == REGULAR:
-        return all(mult < mt.head for _, mult in partition.runs)
-    heavy = sum(1 for _, mult in partition.runs if mult >= mt.head)
-    return heavy == 1
+    if cap is not None and any(mult > cap for _, mult in partition.runs):
+        return False
+    return not heavy or sum(1 for _, mult in partition.runs if mult >= heavy) == 1
 
 
 def _run_tuples(n, divisors, cap, heavy):
@@ -210,14 +217,8 @@ def _run_tuples(n, divisors, cap, heavy):
 def _family_runs(family: PartitionClass, n: int):
     if n < 0:
         raise ValueError(f"partition sizes are nonnegative, got {n}")
-    if family.kind == ALL:
-        return _run_tuples(n, (), n, 0)
-    mt = family.moduli
-    if family.kind == CLASS_REGULAR:
-        return _run_tuples(n, mt.moduli, n, 0)
-    if family.kind == REGULAR:
-        return _run_tuples(n, mt.tail, mt.head - 1, 0)
-    return _run_tuples(n, mt.tail, n, mt.head)
+    divisors, cap, heavy = _shape(family)
+    return _run_tuples(n, divisors, n if cap is None else cap, heavy)
 
 
 def enumerate_runs(family: PartitionClass, n: int) -> Iterator[tuple[tuple[int, int], ...]]:

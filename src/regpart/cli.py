@@ -27,9 +27,9 @@ from .classes import (
     enumerate_class,
     validate_tuple,
 )
-from .glaisher import InvalidTriple, NotRegular, glaisher_forward, glaisher_inverse
-from .partition import NotSubMultiset, Partition
-from .qseries import NonInvertible, verify_series_vs_enumeration
+from .glaisher import NotRegular, glaisher_forward, glaisher_inverse
+from .partition import Partition
+from .qseries import verify_series_vs_enumeration
 from .stats import XYCRow, verify_length_identity, verify_xyc
 
 MAX_PLAIN_N = 200
@@ -39,16 +39,7 @@ class UsageError(ValueError):
     pass
 
 
-_DOMAIN_ERRORS = (
-    EmptyTuple,
-    TooSmall,
-    NotCoprime,
-    NotRegular,
-    InvalidTriple,
-    NonInvertible,
-    NotSubMultiset,
-    UsageError,
-)
+_DOMAIN_ERRORS = (EmptyTuple, TooSmall, NotCoprime, NotRegular, UsageError)
 
 
 def _parse_moduli(text: str) -> ModulusTuple:
@@ -140,10 +131,6 @@ def _csv_writer(stream):
     return csv.writer(stream, lineterminator="\n")
 
 
-def _format_bool(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
 def _emit_rows(rows, header, fmt, stream) -> None:
     """Rows are dicts keyed exactly by the header entries."""
     if fmt == "csv":
@@ -161,13 +148,7 @@ def _emit_rows(rows, header, fmt, stream) -> None:
                 if key in ("pass", "coefficients"):
                     continue
                 value = row[key]
-                if isinstance(value, list):
-                    value = ",".join(str(v) for v in value)
-                elif isinstance(value, bool):
-                    value = _format_bool(value)
-                elif value is None:
-                    value = "none"
-                pieces.append(f"{key}={value}")
+                pieces.append(f"{key}={'none' if value is None else _cell(value)}")
             verdict = ""
             if "pass" in row:
                 verdict = " PASS" if row["pass"] else " FAIL"
@@ -176,7 +157,7 @@ def _emit_rows(rows, header, fmt, stream) -> None:
 
 def _cell(value):
     if isinstance(value, bool):
-        return _format_bool(value)
+        return "true" if value else "false"
     if isinstance(value, list):
         return ",".join(str(v) for v in value)
     if value is None:
@@ -369,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gl.add_argument("--r", "--modulus", dest="modulus", type=int, required=True)
     p_gl.add_argument("--inverse", action="store_true")
     p_gl.add_argument("--format", choices=["plain", "csv", "jsonl"], default="plain")
-    p_gl.add_argument("--force", action="store_true")
     p_gl.set_defaults(handler=_cmd_glaisher)
 
     p_ver = sub.add_parser("verify", help="check the counting identities")

@@ -21,7 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .classes import ModulusTuple, PartitionClass, TooSmall, enumerate_class, is_member
+from .classes import (
+    ModulusTuple,
+    PartitionClass,
+    TooSmall,
+    enumerate_class,
+    is_member,
+    validate_tuple,
+)
 from .partition import Partition
 
 
@@ -64,27 +71,29 @@ class GlaisherTrace:
         """All intermediate partitions, from start to end inclusive."""
         table = self.start.multiplicities()
         out = [self.start]
-        r = self.modulus
         for op, small in self.steps:
-            big = r * small
-            if op == MERGE:
-                if table.get(small, 0) < r:
-                    raise ValueError(f"cannot replay merge at {small}")
-                table[small] -= r
-                if not table[small]:
-                    del table[small]
-                table[big] = table.get(big, 0) + 1
-            elif op == SPLIT:
-                if table.get(big, 0) < 1:
-                    raise ValueError(f"cannot replay split at {big}")
-                table[big] -= 1
-                if not table[big]:
-                    del table[big]
-                table[small] = table.get(small, 0) + r
-            else:
-                raise ValueError(f"unknown step {op!r}")
+            _step(table, self.modulus, op, small)
             out.append(Partition.from_multiplicities(table))
         return out
+
+
+def _step(table: dict[int, int], r: int, op: str, k: int) -> None:
+    # One step on a {part: multiplicity} table, in place: a merge turns k^r
+    # into r*k, a split turns r*k back into k^r.
+    if op == MERGE:
+        take, count, give, gain = k, r, r * k, 1
+    elif op == SPLIT:
+        take, count, give, gain = r * k, 1, k, r
+    else:
+        raise ValueError(f"unknown step {op!r}")
+    have = table.get(take, 0)
+    if have < count:
+        raise ValueError(f"cannot replay {op} at {take}")
+    if have == count:
+        del table[take]
+    else:
+        table[take] = have - count
+    table[give] = table.get(give, 0) + gain
 
 
 def _check_modulus(r: int) -> None:
@@ -107,11 +116,7 @@ def glaisher_forward(partition: Partition, modulus: int) -> GlaisherTrace:
         if not eligible:
             break
         small = min(eligible)
-        table[small] -= modulus
-        if not table[small]:
-            del table[small]
-        big = modulus * small
-        table[big] = table.get(big, 0) + 1
+        _step(table, modulus, MERGE, small)
         steps.append((MERGE, small))
     end = Partition.from_multiplicities(table)
     return GlaisherTrace(partition, end, modulus, tuple(steps))
@@ -147,12 +152,8 @@ def glaisher_inverse(partition: Partition, modulus: int) -> GlaisherTrace:
         divisible = [size for size in table if size % modulus == 0]
         if not divisible:
             break
-        big = min(divisible)
-        table[big] -= 1
-        if not table[big]:
-            del table[big]
-        small = big // modulus
-        table[small] = table.get(small, 0) + modulus
+        small = min(divisible) // modulus
+        _step(table, modulus, SPLIT, small)
         steps.append((SPLIT, small))
     end = Partition.from_multiplicities(table)
     return GlaisherTrace(partition, end, modulus, tuple(steps))
@@ -188,7 +189,9 @@ class BijectionTriple:
     copies: int
 
 
-def insertion_map(moduli: ModulusTuple, residue: int, triple: BijectionTriple) -> Partition:
+def insertion_map(
+    moduli: ModulusTuple | int, residue: int, triple: BijectionTriple
+) -> Partition:
     """Image of a marked class-regular partition under the insertion map.
 
     Removes the marked copies, merges the remainder with respect to the
@@ -197,6 +200,7 @@ def insertion_map(moduli: ModulusTuple, residue: int, triple: BijectionTriple) -
     moduli. Preserves total size. Raises InvalidTriple when the residue is
     out of range or the triple is outside the domain.
     """
+    moduli = validate_tuple(moduli)
     head = moduli.head
     if not 1 <= residue <= head - 1:
         raise InvalidTriple(f"residue {residue} not in 1..{head - 1}")
@@ -231,7 +235,7 @@ def _image_census(moduli: ModulusTuple, residue: int, n: int):
 
 
 def insertion_preimages(
-    moduli: ModulusTuple, residue: int, n: int, target: Partition
+    moduli: ModulusTuple | int, residue: int, n: int, target: Partition
 ) -> frozenset[BijectionTriple]:
     """All marked partitions of total size n that the insertion map sends to
     the target.
@@ -242,6 +246,7 @@ def insertion_preimages(
     the target is regular, exactly 1 when the target is inferior-regular,
     and 0 otherwise; a disagreement raises PreimageCountMismatch.
     """
+    moduli = validate_tuple(moduli)
     head = moduli.head
     if not 1 <= residue <= head - 1:
         raise InvalidTriple(f"residue {residue} not in 1..{head - 1}")

@@ -17,15 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import prod
 
-from .classes import (
-    ALL,
-    INFERIOR_REGULAR,
-    ModulusTuple,
-    PartitionClass,
-    count_class,
-    enumerate_runs,
-)
-from .glaisher import merge_counts
+from .classes import ALL, INFERIOR_REGULAR, ModulusTuple, PartitionClass, count_class
+from .stats import _census
 
 
 class NonInvertible(ValueError):
@@ -148,8 +141,7 @@ def euler_product(step: int, truncation: int) -> TruncatedSeries:
     """
     if not isinstance(step, int) or isinstance(step, bool) or step < 1:
         raise ValueError(f"step must be a positive integer, got {step!r}")
-    if truncation < 0:
-        raise ValueError(f"truncation must be nonnegative, got {truncation}")
+    _check_truncation(truncation)
     coeffs = [0] * (truncation + 1)
     coeffs[0] = 1
     for k in range(1, truncation // step + 1):
@@ -163,8 +155,7 @@ def geometric_tail(base: int, truncation: int) -> TruncatedSeries:
     """q^base / (1 - q^base): one for every positive multiple of the base."""
     if not isinstance(base, int) or isinstance(base, bool) or base < 1:
         raise ValueError(f"base must be a positive integer, got {base!r}")
-    if truncation < 0:
-        raise ValueError(f"truncation must be nonnegative, got {truncation}")
+    _check_truncation(truncation)
     coeffs = [0] * (truncation + 1)
     for d in range(base, truncation + 1, base):
         coeffs[d] = 1
@@ -266,13 +257,9 @@ def verify_series_vs_enumeration(family: PartitionClass, truncation: int) -> Ser
     count_mismatch = _first_difference(series, lambda d: count_class(family, d))
     operations_mismatch = regular_differs = None
     if family.kind == INFERIOR_REGULAR:
-        mt = family.moduli
-        source, regular = PartitionClass.class_regular(mt), PartitionClass.regular(mt)
-        merges = merge_counts(mt.head, truncation)
-        operations_mismatch = _first_difference(series, lambda d: sum(
-            merges[mult] for runs in enumerate_runs(source, d) for _, mult in runs
-        ))
-        regular_differs = _first_difference(series, lambda d: count_class(regular, d))
+        censuses = [_census(family.moduli, d) for d in range(truncation + 1)]
+        operations_mismatch = _first_difference(series, lambda d: censuses[d].operations)
+        regular_differs = _first_difference(series, lambda d: censuses[d].regular)
     return SeriesCheck(
         family=family,
         truncation=truncation,

@@ -8,13 +8,15 @@ the total number of merge operations, which in turn equals the number of
 inferior-regular partitions of n. The identity needs every tail modulus to
 be congruent to 1 modulo the leading one; the aggregate report records
 whether that hypothesis holds so a failure can be told apart from a
-counterexample. The folds read run tuples and count merge operations in
-closed form from the run multiplicities, without simulating any merge.
+counterexample. One census fold per size reads run tuples and counts merge
+operations in closed form from the run multiplicities, without simulating
+any merge; the identity checks and the series operations check all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classes import (
     ModulusTuple,
@@ -64,9 +66,15 @@ class XYCReport:
     hypothesis_holds: bool
 
 
-def aggregate(moduli: ModulusTuple | int, n: int) -> XYCReport:
-    """One pass over each family, collecting every residue at once."""
-    moduli = validate_tuple(moduli)
+class _Census(NamedTuple):
+    x: list[int]  # X_j at index j; index 0 stays 0
+    y: list[int]  # Y_j at index j; index 0 counts every run
+    operations: int
+    regular: int  # number of regular partitions
+
+
+def _census(moduli: ModulusTuple, n: int) -> _Census:
+    # One pass over the class-regular and one over the regular family at n.
     head = moduli.head
     merges = merge_counts(head, n)
     x_totals = [0] * head
@@ -76,20 +84,29 @@ def aggregate(moduli: ModulusTuple | int, n: int) -> XYCReport:
             x_totals[part % head] += mult
             operations += merges[mult]
     runs_by_mult = [0] * head  # regular multiplicities stay below head
+    regular = 0
     for runs in enumerate_runs(PartitionClass.regular(moduli), n):
+        regular += 1
         for _, mult in runs:
             runs_by_mult[mult] += 1
     y_totals = [sum(runs_by_mult[j:]) for j in range(head)]
+    return _Census(x_totals, y_totals, operations, regular)
+
+
+def aggregate(moduli: ModulusTuple | int, n: int) -> XYCReport:
+    """One pass over each family, collecting every residue at once."""
+    moduli = validate_tuple(moduli)
+    census = _census(moduli, n)
     per_residue = {
-        j: (x_totals[j], y_totals[j], x_totals[j] - y_totals[j])
-        for j in range(1, head)
+        j: (census.x[j], census.y[j], census.x[j] - census.y[j])
+        for j in range(1, moduli.head)
     }
     inferior = count_class(PartitionClass.inferior_regular(moduli), n)
     return XYCReport(
         moduli=moduli,
         n=n,
         per_residue=per_residue,
-        operation_total=operations,
+        operation_total=census.operations,
         inferior_count=inferior,
         hypothesis_holds=moduli.tail_congruent,
     )
@@ -158,24 +175,21 @@ class LengthCheck:
 
 
 def verify_length_identity(modulus: int, n: int) -> LengthCheck:
-    """Compare the two length sums with the operation total."""
-    mt = ModulusTuple((modulus,))
-    merges = merge_counts(modulus, n)
-    class_sum = 0
-    operations = 0
-    for runs in enumerate_runs(PartitionClass.class_regular(mt), n):
-        for _, mult in runs:
-            class_sum += mult
-            operations += merges[mult]
-    regular_sum = sum(
-        mult for runs in enumerate_runs(PartitionClass.regular(mt), n) for _, mult in runs
-    )
-    ok = class_sum - regular_sum == (modulus - 1) * operations
+    """Compare the two length sums with the operation total.
+
+    No class-regular part is divisible by the modulus and every regular
+    multiplicity is below it, so the length sums are the sums of X_j and of
+    Y_j over the residues j >= 1.
+    """
+    census = _census(ModulusTuple((modulus,)), n)
+    class_sum = sum(census.x)
+    regular_sum = sum(census.y[1:])
+    ok = class_sum - regular_sum == (modulus - 1) * census.operations
     return LengthCheck(
         modulus=modulus,
         n=n,
         class_regular_length_sum=class_sum,
         regular_length_sum=regular_sum,
-        operation_total=operations,
+        operation_total=census.operations,
         ok=ok,
     )

@@ -85,6 +85,12 @@ class TestPartitionClass:
         with pytest.raises(ValueError):
             PartitionClass("superior", validate_tuple(3))
 
+    def test_raw_moduli_are_validated(self):
+        with pytest.raises(NotCoprime):
+            PartitionClass("regular", (2, 4))
+        assert PartitionClass("regular", 3) == PartitionClass.regular(3)
+        assert count_class(PartitionClass("regular", 3), 6) == 7
+
     def test_contains_sugar(self):
         assert Partition([3, 3, 1]) in PartitionClass.regular(3)
         assert Partition([3, 3, 1]) not in PartitionClass.class_regular(3)
@@ -252,6 +258,8 @@ def test_enumeration_order_is_exhaustively_the_oracle_order(raw):
             expected = [q for q in everything if predicate(q)]
             assert [p.parts for p in enumerate_class(family, n)] == expected
             assert list(enumerate_runs(family, n)) == [_runs_of(q) for q in expected]
+            members = [is_member(Partition(q), family) for q in everything]
+            assert members == [predicate(q) for q in everything]
 
 
 @pytest.mark.parametrize("raw", [(3,), (2, 3), (3, 7)])

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from regpart import Partition, PartitionClass, TruncatedSeries, validate_tuple
+from regpart import (
+    InvalidTriple,
+    NotSubMultiset,
+    Partition,
+    PartitionClass,
+    TruncatedSeries,
+    validate_tuple,
+)
 from regpart.cli import (
     UsageError,
     _guard_n,
@@ -107,6 +114,11 @@ class TestGlaisher:
         lines = out.splitlines()
         assert lines[-2] == "[1,1,1,1,1,1]"
         assert lines[-1] == "count=4"
+
+    def test_force_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["glaisher", "--parts", "1", "--r", "2", "--force"])
+        assert caught.value.code == 2
 
     def test_empty_parts(self, capsys):
         code, out, _ = run(capsys, "glaisher", "--parts", "", "--r", "2")
@@ -352,12 +364,14 @@ class TestErrorMapping:
         assert "UsageError" in err
 
     def test_internal_value_error_exits_3_with_traceback(self, capsys, monkeypatch):
-        def broken(moduli, n):
-            raise ValueError("internal fault")
+        # library errors that no user input can reach are internal faults too
+        for error in (ValueError, NotSubMultiset, InvalidTriple):
+            def broken(moduli, n):
+                raise error("internal fault")
 
-        monkeypatch.setattr("regpart.cli.verify_xyc", broken)
-        code, out, err = run(capsys, "verify", "--scope", "xyc", "--moduli", "3", "--n", "4")
-        assert code == 3
-        assert out == ""
-        assert "Traceback" in err
-        assert "ValueError: internal fault" in err
+            monkeypatch.setattr("regpart.cli.verify_xyc", broken)
+            code, out, err = run(capsys, "verify", "--scope", "xyc", "--moduli", "3", "--n", "4")
+            assert code == 3
+            assert out == ""
+            assert "Traceback" in err
+            assert f"{error.__name__}: internal fault" in err

@@ -12,6 +12,7 @@ from regpart import (
     MERGE,
     SPLIT,
     BijectionTriple,
+    GlaisherTrace,
     InvalidTriple,
     NotRegular,
     Partition,
@@ -109,6 +110,17 @@ class TestTraceShape:
         assert len(states) == trace.count + 1
         assert states[0] == trace.start
         assert states[-1] == trace.end
+
+    @pytest.mark.parametrize("start, steps, message", [
+        ([1, 1], ((MERGE, 1),), "cannot replay merge at 1"),
+        ([3, 1], ((SPLIT, 2),), "cannot replay split at 6"),
+        ([1], (("swap", 1),), "unknown step 'swap'"),
+    ])
+    def test_states_rejects_a_bad_replay(self, start, steps, message):
+        trace = GlaisherTrace(Partition(start), Partition(start), 3, steps)
+        with pytest.raises(ValueError) as caught:
+            trace.states()
+        assert str(caught.value) == message
 
     @given(parts_lists, st.integers(min_value=2, max_value=5))
     def test_forward_end_is_regular_and_size_preserved(self, parts, r):
@@ -283,6 +295,14 @@ class TestInsertionPreimages:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             insertion_preimages(validate_tuple(3), 1, 6, Partition([4, 3]))
+
+    def test_accepts_a_bare_modulus(self):
+        for mu in enumerate_class(PartitionClass.all_partitions(), 7):
+            assert insertion_preimages(3, 1, 7, mu) == insertion_preimages(
+                validate_tuple(3), 1, 7, mu
+            )
+        triple = BijectionTriple(Partition([4, 1, 1]), 1, 2)
+        assert insertion_map(3, 1, triple) == insertion_map(validate_tuple(3), 1, triple)
 
     def test_census_total_is_the_congruent_part_count(self):
         # each preimage pins one run of one class-regular partition, so the
