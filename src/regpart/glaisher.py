@@ -25,7 +25,7 @@ from .classes import (
     ModulusTuple,
     PartitionClass,
     TooSmall,
-    enumerate_class,
+    enumerate_runs,
     is_member,
     validate_tuple,
 )
@@ -189,6 +189,30 @@ class BijectionTriple:
     copies: int
 
 
+def _merge_end(runs, head: int) -> dict[int, int]:
+    # The merge end of class-regular runs in closed form: k^m ends as the runs
+    # (k * head^i)^(d_i), d_i the base-head digits of m. No size k is divisible
+    # by head, so the runs of two sizes never meet.
+    table = {}
+    for k, m in runs:
+        while m:
+            m, digit = divmod(m, head)
+            if digit:
+                table[k] = digit
+            k *= head
+    return table
+
+
+def _image(runs, moduli: ModulusTuple, part: int, copies: int):
+    # The insertion image of a marked class-regular run tuple, as a run tuple.
+    table = _merge_end(
+        ((k, m - copies if k == part else m) for k, m in runs), moduli.head
+    )
+    block, cofactor = factor_out(copies, moduli.tail)
+    table[cofactor] = table.get(cofactor, 0) + part * block
+    return tuple(sorted(table.items(), reverse=True))
+
+
 def insertion_map(
     moduli: ModulusTuple | int, residue: int, triple: BijectionTriple
 ) -> Partition:
@@ -197,8 +221,10 @@ def insertion_map(
     Removes the marked copies, merges the remainder with respect to the
     leading modulus, and inserts the run (cofactor)^(part * block), where
     (block, cofactor) factors the number of removed copies over the tail
-    moduli. Preserves total size. Raises InvalidTriple when the residue is
-    out of range or the triple is outside the domain.
+    moduli. The merge is computed in closed form from the base-r digits of
+    each remaining multiplicity, not simulated. Preserves total size. Raises
+    InvalidTriple when the residue is out of range or the triple is outside
+    the domain.
     """
     moduli = validate_tuple(moduli)
     head = moduli.head
@@ -212,26 +238,27 @@ def insertion_map(
         raise InvalidTriple(f"copies {copies} not in 1..{have} for part {part}")
     if not is_member(lam, PartitionClass.class_regular(moduli)):
         raise InvalidTriple("marked partition has a part divisible by a modulus")
-    reduced = lam.difference(Partition.from_multiplicities({part: copies}))
-    merged = glaisher_forward(reduced, head).end
-    block, cofactor = factor_out(copies, moduli.tail)
-    return merged.union(Partition.from_multiplicities({cofactor: part * block}))
+    return Partition._from_runs(_image(lam.runs, moduli, part, copies))
 
 
 @lru_cache(maxsize=None)
 def _image_census(moduli: ModulusTuple, residue: int, n: int):
-    source = PartitionClass.class_regular(moduli)
-    table: dict[Partition, set[BijectionTriple]] = {}
+    table: dict[tuple, set[BijectionTriple]] = {}
     head = moduli.head
-    for lam in enumerate_class(source, n):
-        for part, mult in lam.runs:
+    for runs in enumerate_runs(PartitionClass.class_regular(moduli), n):
+        lam = Partition._from_runs(runs)
+        for part, mult in runs:
             if part % head != residue:
                 continue
             for copies in range(1, mult + 1):
-                triple = BijectionTriple(lam, part, copies)
-                image = insertion_map(moduli, residue, triple)
-                table.setdefault(image, set()).add(triple)
-    return {image: frozenset(found) for image, found in table.items()}
+                image = _image(runs, moduli, part, copies)
+                table.setdefault(image, set()).add(BijectionTriple(lam, part, copies))
+    return {Partition._from_runs(image): frozenset(t) for image, t in table.items()}
+
+
+@lru_cache(maxsize=8)
+def _target_families(moduli: ModulusTuple):
+    return PartitionClass.regular(moduli), PartitionClass.inferior_regular(moduli)
 
 
 def insertion_preimages(
@@ -256,9 +283,10 @@ def insertion_preimages(
         raise ValueError(f"target has size {target.size}, expected {n}")
     found = _image_census(moduli, residue, n).get(target, frozenset())
     if moduli.tail_congruent:
-        if is_member(target, PartitionClass.regular(moduli)):
+        regular, inferior = _target_families(moduli)
+        if is_member(target, regular):
             expected = sum(1 for _, mult in target.runs if mult >= residue)
-        elif is_member(target, PartitionClass.inferior_regular(moduli)):
+        elif is_member(target, inferior):
             expected = 1
         else:
             expected = 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import merge_count_closed_form, merge_fully
+from oracles import in_class_regular, merge_count_closed_form, merge_fully, partitions_desc
 from regpart import (
     MERGE,
     SPLIT,
@@ -164,6 +164,16 @@ def test_closed_form_counts_every_class_regular_partition(r):
             assert closed == glaisher_forward(p, r).count
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_closed_form_merge_end_of_every_class_regular_partition(r):
+    # exhaustive second witness: the digit expansion against the simulated merges
+    family = PartitionClass.class_regular(r)
+    for n in range(19):
+        for p in enumerate_class(family, n):
+            closed = Partition.from_multiplicities(glaisher._merge_end(p.runs, r))
+            assert closed == glaisher_forward(p, r).end
+
+
 def test_closed_form_table():
     assert merge_counts(2, 8) == [0, 0, 1, 1, 3, 3, 4, 4, 7]
     assert merge_counts(3, 9) == [0, 0, 0, 1, 1, 1, 2, 2, 2, 4]
@@ -277,6 +287,57 @@ class TestInsertionMap:
                 for copies in range(1, mult + 1):
                     image = insertion_map(mt, residue, BijectionTriple(lam, part, copies))
                     assert image.size == n
+
+
+def _oracle_image(parts, moduli, part, copies):
+    # the insertion map from its definition: remove the marked copies, merge
+    # the rest in any order, insert (cofactor)^(part * block)
+    rest = list(parts)
+    for _ in range(copies):
+        rest.remove(part)
+    merged, _ = merge_fully(rest, moduli[0], min)
+    block, cofactor = 1, copies
+    for base in moduli[1:]:
+        while cofactor % base == 0:
+            cofactor //= base
+            block *= base
+    return tuple(sorted(merged + (cofactor,) * (part * block), reverse=True))
+
+
+def _oracle_marked(moduli, n):
+    # every marked class-regular partition of n: (parts, part, copies)
+    for parts in partitions_desc(n):
+        if in_class_regular(parts, moduli):
+            for part in sorted(set(parts)):
+                for copies in range(1, parts.count(part) + 1):
+                    yield parts, part, copies
+
+
+class TestInsertionOracle:
+    @pytest.mark.parametrize("raw", [(2,), (3,), (5,), (2, 3), (3, 4), (3, 5), (3, 7)])
+    def test_every_marked_partition(self, raw):
+        mt = validate_tuple(raw)
+        for n in range(15):
+            for parts, part, copies in _oracle_marked(raw, n):
+                triple = BijectionTriple(Partition(parts), part, copies)
+                image = insertion_map(mt, part % raw[0], triple)
+                assert image.parts == _oracle_image(parts, raw, part, copies)
+
+    def test_census_outside_the_hypothesis(self):
+        # (3, 5) fails the hypothesis, so no query checks its preimage counts
+        raw = (3, 5)
+        mt = validate_tuple(raw)
+        assert not mt.tail_congruent
+        for n in range(13):
+            for residue in (1, 2):
+                expected = {}
+                for parts, part, copies in _oracle_marked(raw, n):
+                    if part % 3 == residue:
+                        image = Partition(_oracle_image(parts, raw, part, copies))
+                        triple = BijectionTriple(Partition(parts), part, copies)
+                        expected.setdefault(image, set()).add(triple)
+                census = glaisher._image_census(mt, residue, n)
+                assert census == {mu: frozenset(t) for mu, t in expected.items()}
 
 
 class TestInsertionPreimages:
