@@ -18,8 +18,8 @@ over the remaining moduli.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .classes import (
     ModulusTuple,
@@ -241,9 +241,9 @@ def insertion_map(
     return Partition._from_runs(_image(lam.runs, moduli, part, copies))
 
 
-@lru_cache(maxsize=None)
 def _image_census(moduli: ModulusTuple, residue: int, n: int):
-    table: dict[tuple, set[BijectionTriple]] = {}
+    # {image run tuple: frozenset of its marked preimages}, uncached
+    table: dict[tuple, list[BijectionTriple]] = {}
     head = moduli.head
     for runs in enumerate_runs(PartitionClass.class_regular(moduli), n):
         lam = Partition._from_runs(runs)
@@ -252,47 +252,76 @@ def _image_census(moduli: ModulusTuple, residue: int, n: int):
                 continue
             for copies in range(1, mult + 1):
                 image = _image(runs, moduli, part, copies)
-                table.setdefault(image, set()).add(BijectionTriple(lam, part, copies))
-    return {Partition._from_runs(image): frozenset(t) for image, t in table.items()}
+                table.setdefault(image, []).append(BijectionTriple(lam, part, copies))
+    return {image: frozenset(t) for image, t in table.items()}
 
 
-@lru_cache(maxsize=8)
-def _target_families(moduli: ModulusTuple):
-    return PartitionClass.regular(moduli), PartitionClass.inferior_regular(moduli)
+class PreimageCensus:
+    """The marked partitions of total size n that the insertion map sends to
+    each target, for one modulus tuple and residue, built once.
+
+    When every tail modulus is congruent to 1 modulo the head, the build
+    checks the counting identity on every target of size n and raises
+    PreimageCountMismatch where it fails: a regular target has as many
+    preimages as sizes of multiplicity at least the residue, an
+    inferior-regular one exactly 1, any other partition none."""
+
+    __slots__ = ("n", "triples", "_table")
+
+    def __init__(self, moduli: ModulusTuple | int, residue: int, n: int):
+        moduli = validate_tuple(moduli)
+        if not 1 <= residue <= moduli.head - 1:
+            raise InvalidTriple(f"residue {residue} not in 1..{moduli.head - 1}")
+        if n < 0:
+            raise ValueError(f"partition sizes are nonnegative, got {n}")
+        self.n = n
+        self._table = table = _image_census(moduli, residue, n)
+        self.triples = sum(map(len, table.values()))
+        if not moduli.tail_congruent:
+            return
+        inferior = PartitionClass.inferior_regular(moduli)
+        expected = dict.fromkeys(enumerate_runs(inferior, n), 1)
+        for runs in enumerate_runs(PartitionClass.regular(moduli), n):
+            expected[runs] = sum(1 for _, mult in runs if mult >= residue)
+        for runs in expected.keys() | table.keys():
+            found, want = len(table.get(runs, ())), expected.get(runs, 0)
+            if found != want:
+                raise PreimageCountMismatch(
+                    f"preimage count {found} disagrees with the counting identity "
+                    f"value {want} for {Partition._from_runs(runs)}"
+                )
+
+    def preimages(self, target: Partition) -> frozenset[BijectionTriple]:
+        """The census entry of the target (ValueError unless its size is n)."""
+        found = self._table.get(target.runs)  # every image has size n
+        if found is None and target.size != self.n:
+            raise ValueError(f"target has size {target.size}, expected {self.n}")
+        return found or frozenset()
+
+
+# insertion_preimages' censuses, least recently used first. Together they hold
+# at most the budget in triples; a larger census is returned but not kept.
+_CENSUS_BUDGET = 50_000
+_censuses: OrderedDict[tuple, PreimageCensus] = OrderedDict()
 
 
 def insertion_preimages(
     moduli: ModulusTuple | int, residue: int, n: int, target: Partition
 ) -> frozenset[BijectionTriple]:
     """All marked partitions of total size n that the insertion map sends to
-    the target.
-
-    When every tail modulus is congruent to 1 modulo the head, the number of
-    preimages is checked on the fly against the counting identity: it equals
-    the number of distinct sizes with multiplicity at least the residue when
-    the target is regular, exactly 1 when the target is inferior-regular,
-    and 0 otherwise; a disagreement raises PreimageCountMismatch.
-    """
+    the target, answered from a cached PreimageCensus. The first query of a
+    (moduli, residue, n) builds its census, which checks the counting
+    identity on every target of size n and may raise PreimageCountMismatch."""
     moduli = validate_tuple(moduli)
-    head = moduli.head
-    if not 1 <= residue <= head - 1:
-        raise InvalidTriple(f"residue {residue} not in 1..{head - 1}")
-    if n < 0:
-        raise ValueError(f"partition sizes are nonnegative, got {n}")
-    if target.size != n:
-        raise ValueError(f"target has size {target.size}, expected {n}")
-    found = _image_census(moduli, residue, n).get(target, frozenset())
-    if moduli.tail_congruent:
-        regular, inferior = _target_families(moduli)
-        if is_member(target, regular):
-            expected = sum(1 for _, mult in target.runs if mult >= residue)
-        elif is_member(target, inferior):
-            expected = 1
-        else:
-            expected = 0
-        if len(found) != expected:
-            raise PreimageCountMismatch(
-                f"preimage count {len(found)} disagrees with the counting "
-                f"identity value {expected} for {target}"
-            )
-    return found
+    key = (moduli.moduli, residue, n)
+    census = _censuses.get(key)
+    if census is not None:
+        _censuses.move_to_end(key)
+        return census.preimages(target)
+    census = PreimageCensus(moduli, residue, n)
+    if census.triples <= _CENSUS_BUDGET:
+        held = census.triples + sum(c.triples for c in _censuses.values())
+        while held > _CENSUS_BUDGET:
+            held -= _censuses.popitem(last=False)[1].triples
+        _censuses[key] = census
+    return census.preimages(target)

@@ -2,18 +2,14 @@
 
 A partition is kept internally as a run list ``((part, mult), ...)`` with
 strictly decreasing part sizes, which makes the multiset view (multiplicity
-lookups, union, difference) and the sequence view (weakly decreasing parts)
-cheap to derive from one another.
+lookups) and the sequence view (weakly decreasing parts) cheap to derive
+from one another.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Mapping
-
-
-class NotSubMultiset(ValueError):
-    """Multiset difference was asked to remove parts that are not all present."""
 
 
 class Partition:
@@ -92,35 +88,6 @@ class Partition:
     def multiplicities(self) -> dict[int, int]:
         """A fresh ``{part: multiplicity}`` table of the nonzero entries."""
         return dict(self._runs)
-
-    def distinct_parts(self) -> tuple[int, ...]:
-        """Distinct part sizes, largest first."""
-        return tuple(part for part, _ in self._runs)
-
-    def union(self, other: Partition) -> Partition:
-        """Multiset union: multiplicities add."""
-        merged = Counter(dict(self._runs))
-        merged.update(dict(other._runs))
-        return Partition._from_runs(tuple(sorted(merged.items(), reverse=True)))
-
-    def difference(self, other: Partition) -> Partition:
-        """Multiset difference; ``other`` must be contained in ``self``.
-
-        Raises NotSubMultiset when some part of ``other`` exceeds its
-        multiplicity here.
-        """
-        table = dict(self._runs)
-        for part, mult in other._runs:
-            have = table.get(part, 0)
-            if mult > have:
-                raise NotSubMultiset(
-                    f"cannot remove {part}^{mult}: only {have} copies present"
-                )
-            if mult == have:
-                del table[part]
-            else:
-                table[part] = have - mult
-        return Partition._from_runs(tuple(sorted(table.items(), reverse=True)))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Partition):

@@ -6,7 +6,7 @@ import pytest
 
 from regpart import (
     InvalidTriple,
-    NotSubMultiset,
+    NonInvertible,
     Partition,
     PartitionClass,
     TruncatedSeries,
@@ -365,7 +365,7 @@ class TestErrorMapping:
 
     def test_internal_value_error_exits_3_with_traceback(self, capsys, monkeypatch):
         # library errors that no user input can reach are internal faults too
-        for error in (ValueError, NotSubMultiset, InvalidTriple):
+        for error in (ValueError, NonInvertible, InvalidTriple):
             def broken(moduli, n):
                 raise error("internal fault")
 

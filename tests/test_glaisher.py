@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from regpart import (
     NotRegular,
     Partition,
     PartitionClass,
+    PreimageCensus,
     PreimageCountMismatch,
     TooSmall,
     count_congruent_parts,
@@ -337,7 +339,7 @@ class TestInsertionOracle:
                         triple = BijectionTriple(Partition(parts), part, copies)
                         expected.setdefault(image, set()).add(triple)
                 census = glaisher._image_census(mt, residue, n)
-                assert census == {mu: frozenset(t) for mu, t in expected.items()}
+                assert census == {mu.runs: frozenset(t) for mu, t in expected.items()}
 
 
 class TestInsertionPreimages:
@@ -414,6 +416,9 @@ class TestPreimageCountCheck:
         # the single-part target has exactly one preimage; an empty census
         # breaks the counting identity
         monkeypatch.setattr(glaisher, "_image_census", lambda moduli, residue, n: {})
+        # a fresh cache, so a census of (3, 1, 7) kept by an earlier test is
+        # not reused
+        monkeypatch.setattr(glaisher, "_censuses", OrderedDict())
         with pytest.raises(PreimageCountMismatch):
             insertion_preimages(validate_tuple(3), 1, 7, Partition([7]))
 
@@ -429,3 +434,142 @@ class TestPreimageCountCheck:
             env=env, capture_output=True, text=True, timeout=60, check=True,
         )
         assert result.stdout.split() == ["optimize", "1", "raised"]
+
+
+def _count_builds(monkeypatch):
+    # wrap the census builder so every build is counted by its key
+    builds = {}
+    build = glaisher._image_census
+
+    def counted(moduli, residue, n):
+        key = (moduli.moduli, residue, n)
+        builds[key] = builds.get(key, 0) + 1
+        return build(moduli, residue, n)
+
+    monkeypatch.setattr(glaisher, "_image_census", counted)
+    return builds
+
+
+def _queries(raws, top):
+    everything = PartitionClass.all_partitions()
+    return [
+        (mt, j, n, mu)
+        for mt in map(validate_tuple, raws)
+        for j in range(1, mt.head)
+        for n in range(top + 1)
+        for mu in enumerate_class(everything, n)
+    ]
+
+
+def _patched_census(monkeypatch, raw, residue, n, edit):
+    # the true census of (raw, residue, n) after edit(table), injected
+    table = dict(glaisher._image_census(validate_tuple(raw), residue, n))
+    edit(table)
+    monkeypatch.setattr(glaisher, "_image_census", lambda moduli, residue, n: table)
+
+
+class TestWholeCensusCheck:
+    def test_missing_unqueried_target_raises(self, monkeypatch):
+        # (4 2 1) is regular with three preimages; nothing queries it
+        target = ((4, 1), (2, 1), (1, 1))
+        _patched_census(monkeypatch, 3, 1, 7, lambda table: table.pop(target))
+        with pytest.raises(PreimageCountMismatch):
+            PreimageCensus(3, 1, 7)
+
+    def test_image_outside_both_families_raises(self, monkeypatch):
+        # (2^3 1^3) has two sizes with multiplicity at least 3
+        stray = ((2, 3), (1, 3))
+        triple = BijectionTriple(Partition([1] * 9), 1, 9)
+
+        def add(table):
+            assert stray not in table
+            table[stray] = frozenset({triple})
+
+        _patched_census(monkeypatch, 3, 1, 9, add)
+        with pytest.raises(PreimageCountMismatch):
+            PreimageCensus(3, 1, 9)
+
+    def test_extra_triple_on_a_regular_target_raises(self, monkeypatch):
+        target = ((7, 1),)
+        extra = BijectionTriple(Partition([4, 2, 1]), 1, 1)
+
+        def add(table):
+            assert len(table[target]) == 1
+            table[target] = table[target] | {extra}
+
+        _patched_census(monkeypatch, 3, 1, 7, add)
+        with pytest.raises(PreimageCountMismatch):
+            PreimageCensus(3, 1, 7)
+
+    def test_census_outside_the_hypothesis_is_not_checked(self, monkeypatch):
+        monkeypatch.setattr(glaisher, "_image_census", lambda moduli, residue, n: {})
+        assert PreimageCensus((3, 5), 1, 7).preimages(Partition([7])) == frozenset()
+        with pytest.raises(PreimageCountMismatch):
+            PreimageCensus((3, 4), 1, 7)
+
+    @pytest.mark.parametrize("raw", [3, (2, 3), (3, 4), (3, 5)])
+    def test_agrees_with_insertion_preimages(self, raw):
+        censuses = {}
+        for mt, j, n, mu in _queries([raw], 10):
+            census = censuses.setdefault((j, n), PreimageCensus(mt, j, n))
+            assert census.preimages(mu) == insertion_preimages(mt, j, n, mu)
+
+
+class TestCensusCache:
+    def test_small_budget_stays_correct_and_bounded(self, monkeypatch):
+        queries = _queries([3, (2, 3)], 12)
+        random.Random(20261018).shuffle(queries)
+        reference = {}
+        for mt, j, n, _ in queries:
+            if (mt.moduli, j, n) not in reference:
+                reference[mt.moduli, j, n] = PreimageCensus(mt, j, n)
+        budget = 40
+        monkeypatch.setattr(glaisher, "_CENSUS_BUDGET", budget)
+        monkeypatch.setattr(glaisher, "_censuses", OrderedDict())
+        builds = _count_builds(monkeypatch)
+        for mt, j, n, mu in queries:
+            expected = reference[mt.moduli, j, n].preimages(mu)
+            assert insertion_preimages(mt, j, n, mu) == expected
+            assert sum(c.triples for c in glaisher._censuses.values()) <= budget
+        # the budget forced evictions, so some keys were built again
+        assert sum(builds.values()) > len(reference)
+
+    def test_census_larger_than_the_budget_is_returned_but_not_kept(self, monkeypatch):
+        monkeypatch.setattr(glaisher, "_CENSUS_BUDGET", 40)
+        monkeypatch.setattr(glaisher, "_censuses", OrderedDict())
+        mt = validate_tuple(3)
+        insertion_preimages(mt, 1, 5, Partition([5]))
+        kept = dict(glaisher._censuses)
+        assert len(kept) == 1
+        big = PreimageCensus(mt, 1, 12)
+        assert big.triples > 40
+        for mu in enumerate_class(PartitionClass.all_partitions(), 12):
+            assert insertion_preimages(mt, 1, 12, mu) == big.preimages(mu)
+        # nothing was evicted to make room for it, and it was not kept
+        assert dict(glaisher._censuses) == kept
+
+    def test_benchmark_working_set_stays_resident(self, monkeypatch):
+        # every query of the preimage-census benchmark workload, shuffled:
+        # 110 (moduli, residue, n) keys, each built exactly once
+        queries = _queries([(2, 3), (3, 4), (3, 7)], 21)
+        random.Random(20261018).shuffle(queries)
+        monkeypatch.setattr(glaisher, "_censuses", OrderedDict())
+        builds = _count_builds(monkeypatch)
+        for mt, j, n, mu in queries:
+            insertion_preimages(mt, j, n, mu)
+        assert len(builds) == 110
+        assert set(builds.values()) == {1}
+
+    def test_rejects_bad_residue_and_size(self):
+        mt = validate_tuple(3)
+        for residue in (0, mt.head):
+            with pytest.raises(InvalidTriple):
+                insertion_preimages(mt, residue, 4, Partition([4]))
+            with pytest.raises(InvalidTriple):
+                PreimageCensus(mt, residue, 4)
+        with pytest.raises(ValueError, match="nonnegative"):
+            insertion_preimages(mt, 1, -1, Partition())
+        with pytest.raises(ValueError, match="nonnegative"):
+            PreimageCensus(mt, 1, -1)
+        with pytest.raises(ValueError, match="expected 7"):
+            PreimageCensus(mt, 1, 7).preimages(Partition([4, 2]))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regpart import NotSubMultiset, Partition
+from regpart import Partition
 
 parts_lists = st.lists(st.integers(min_value=1, max_value=12), max_size=12)
 
@@ -58,9 +58,6 @@ class TestViews:
     def test_multiplicities_table(self):
         assert Partition([4, 2, 2]).multiplicities() == {4: 1, 2: 2}
 
-    def test_distinct_parts(self):
-        assert Partition([4, 2, 2, 1]).distinct_parts() == (4, 2, 1)
-
     def test_size_and_length(self):
         p = Partition([4, 2])
         assert p.size == 6
@@ -76,20 +73,6 @@ class TestViews:
 
 
 class TestMultisetAlgebra:
-    def test_union(self):
-        assert Partition([3, 1]).union(Partition([3, 2])) == Partition([3, 3, 2, 1])
-
-    def test_difference(self):
-        assert Partition([3, 2, 2, 1]).difference(Partition([2, 1])) == Partition([3, 2])
-
-    def test_difference_missing_part(self):
-        with pytest.raises(NotSubMultiset):
-            Partition([2]).difference(Partition([3]))
-
-    def test_difference_too_many_copies(self):
-        with pytest.raises(NotSubMultiset):
-            Partition([2, 2]).difference(Partition([2, 2, 2]))
-
     def test_equality_and_hash(self):
         assert Partition([2, 1, 2]) == Partition([2, 2, 1])
         assert hash(Partition([2, 1, 2])) == hash(Partition([2, 2, 1]))
@@ -119,16 +102,3 @@ def test_views_agree(parts):
         assert mult == p.multiplicity(part)
         rebuilt.extend([part] * mult)
     assert tuple(rebuilt) == p.parts
-
-
-@given(parts_lists, parts_lists)
-def test_union_adds_multiplicities(a, b):
-    combined = Partition(a).union(Partition(b))
-    assert combined == Partition(a + b)
-    assert combined.size == sum(a) + sum(b)
-
-
-@given(parts_lists, parts_lists)
-def test_union_then_difference_is_identity(a, b):
-    pa, pb = Partition(a), Partition(b)
-    assert pa.union(pb).difference(pb) == pa
