@@ -180,7 +180,7 @@ def _run_tuples(n, divisors, cap, heavy):
         allowed = all(v % d for d in divisors)
         largest[v] = v if allowed else largest[v - 1]
         room[v] = room[v - 1] + (v if allowed else 0)
-    runs, rems = [], []  # runs so far, remainder before each run
+    runs = []
     rem = limit = n
     bound, need, heavy_at = cap, heavy, -1
     while True:
@@ -196,7 +196,7 @@ def _run_tuples(n, divisors, cap, heavy):
                 if not runs:
                     return
                 part, mult = runs.pop()
-                rem = rems.pop()
+                rem += part * mult
                 if heavy_at == len(runs):
                     bound, need, heavy_at = cap, heavy, -1
                 # stay on this level only if smaller parts can fill what it leaves
@@ -209,7 +209,6 @@ def _run_tuples(n, divisors, cap, heavy):
         if need and mult >= need:
             bound, need, heavy_at = heavy - 1, 0, len(runs)
         runs.append((part, mult))
-        rems.append(rem)
         rem -= part * mult
         limit = part - 1
 

@@ -268,6 +268,8 @@ def _cmd_verify(args) -> int:
     if args.moduli is None:
         raise UsageError("verify needs --moduli")
     mt = _parse_moduli(args.moduli)
+    if scope in ("series", "all"):
+        _guard_trunc(args.trunc, args.force)
 
     if scope in ("xyc", "all"):
         rows = []
@@ -298,7 +300,6 @@ def _cmd_verify(args) -> int:
             print("length: skipped, needs a single modulus", file=sys.stderr)
 
     if scope in ("series", "all"):
-        _guard_trunc(args.trunc, args.force)
         families = [
             PartitionClass.all_partitions(),
             PartitionClass.class_regular(mt),

@@ -96,6 +96,18 @@ def _step(table: dict[int, int], r: int, op: str, k: int) -> None:
     table[give] = table.get(give, 0) + gain
 
 
+def _run(partition: Partition, r: int, op: str, candidates) -> GlaisherTrace:
+    # Applies op at the smallest of candidates(table) until there is none,
+    # recording each step.
+    table = partition.multiplicities()
+    steps = []
+    while (small := min(candidates(table), default=None)) is not None:
+        _step(table, r, op, small)
+        steps.append((op, small))
+    end = Partition.from_multiplicities(table)
+    return GlaisherTrace(partition, end, r, tuple(steps))
+
+
 def _check_modulus(r: int) -> None:
     if not isinstance(r, int) or isinstance(r, bool) or r < 2:
         raise TooSmall(f"modulus {r!r} is not an integer >= 2")
@@ -109,17 +121,9 @@ def glaisher_forward(partition: Partition, modulus: int) -> GlaisherTrace:
     total size as the start.
     """
     _check_modulus(modulus)
-    table = partition.multiplicities()
-    steps = []
-    while True:
-        eligible = [size for size, mult in table.items() if mult >= modulus]
-        if not eligible:
-            break
-        small = min(eligible)
-        _step(table, modulus, MERGE, small)
-        steps.append((MERGE, small))
-    end = Partition.from_multiplicities(table)
-    return GlaisherTrace(partition, end, modulus, tuple(steps))
+    return _run(partition, modulus, MERGE, lambda table: (
+        size for size, mult in table.items() if mult >= modulus
+    ))
 
 
 def merge_counts(modulus: int, top: int) -> list[int]:
@@ -146,17 +150,9 @@ def glaisher_inverse(partition: Partition, modulus: int) -> GlaisherTrace:
         raise NotRegular(
             f"some part occurs {modulus} or more times, cannot invert"
         )
-    table = partition.multiplicities()
-    steps = []
-    while True:
-        divisible = [size for size in table if size % modulus == 0]
-        if not divisible:
-            break
-        small = min(divisible) // modulus
-        _step(table, modulus, SPLIT, small)
-        steps.append((SPLIT, small))
-    end = Partition.from_multiplicities(table)
-    return GlaisherTrace(partition, end, modulus, tuple(steps))
+    return _run(partition, modulus, SPLIT, lambda table: (
+        size // modulus for size in table if size % modulus == 0
+    ))
 
 
 def factor_out(value: int, bases) -> tuple[int, int]:

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations
-from math import prod
 
 from .classes import ALL, INFERIOR_REGULAR, ModulusTuple, PartitionClass, count_class
 from .stats import _census
@@ -78,10 +76,7 @@ class TruncatedSeries:
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = min(self.truncation, other.truncation)
-        return TruncatedSeries(
-            [self._coeffs[d] - other._coeffs[d] for d in range(n + 1)]
-        )
+        return self + -other
 
     def __neg__(self) -> TruncatedSeries:
         return TruncatedSeries([-c for c in self._coeffs])
@@ -196,24 +191,19 @@ def gf_class(family: PartitionClass, truncation: int) -> TruncatedSeries:
 
 
 def gf_tuple_inferior(moduli: ModulusTuple, truncation: int) -> TruncatedSeries:
-    """Inferior-regular generating function via subset inclusion-exclusion.
+    """Inferior-regular generating function from its divisor-count tail.
 
     Works for any validated tuple, including a single modulus. The family's
-    product form multiplies a tail whose coefficient at d is the sum, over
-    the subsets S of the non-leading moduli, of (-1)^|S| times the number
-    of divisors of d / (head * prod S), counted only when head * prod S
-    divides d.
+    product form multiplies the tail of q^(head * k) / (1 - q^(head * k))
+    over the k that no non-leading modulus divides: its coefficient at d
+    counts those k with head * k dividing d.
     """
     _check_truncation(truncation)
     tail = [0] * (truncation + 1)
-    for size in range(len(moduli.tail) + 1):
-        sign = -1 if size % 2 else 1
-        for combo in combinations(moduli.tail, size):
-            block = moduli.head * prod(combo)
-            # one count at d for each multiple of the block that divides d
-            for base in range(block, truncation + 1, block):
-                for d in range(base, truncation + 1, base):
-                    tail[d] += sign
+    for k in range(1, truncation // moduli.head + 1):
+        if all(k % t for t in moduli.tail):
+            for d in range(moduli.head * k, truncation + 1, moduli.head * k):
+                tail[d] += 1
     return TruncatedSeries(_factor_product(tail, tuple(moduli)))
 
 

@@ -134,12 +134,11 @@ class XYCRow:
 
 def verify_xyc(moduli: ModulusTuple | int, n: int) -> tuple[XYCRow, ...]:
     """Check X - Y = operations = inferior count for every residue."""
-    moduli = validate_tuple(moduli)
     report = aggregate(moduli, n)
     rows = []
-    for residue, (x_total, y_total, diff) in sorted(report.per_residue.items()):
+    for residue, (x_total, y_total, diff) in report.per_residue.items():
         rows.append(XYCRow(
-            moduli=moduli,
+            moduli=report.moduli,
             n=n,
             residue=residue,
             x_total=x_total,

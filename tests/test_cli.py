@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+import shlex
 
 import pytest
 
@@ -297,6 +299,131 @@ class TestVerifyAll:
         assert code == 0
         assert "length: skipped" in err
         assert "family=regular" in out
+
+    @pytest.mark.parametrize(
+        "trunc, rule",
+        [("600", "refusing truncation 600 above 500"),
+         ("-1", "truncation must be nonnegative, got -1")],
+    )
+    def test_bad_truncation_is_refused_before_any_output(self, capsys, trunc, rule):
+        code, out, err = run(
+            capsys, "verify", "--scope", "all", "--moduli", "3", "--n", "0..1",
+            "--trunc", trunc,
+        )
+        assert code == 2
+        assert out == ""
+        assert rule in err
+
+
+# (command, exit code, SHA-256 of stdout, exact stderr): pinned output of every
+# command and format, including an informational FAIL table and a refusal
+GOLDEN = [
+    (
+        "verify --scope all --moduli 3 --n 0..12 --trunc 20",
+        0,
+        "83ed54ffc2bb3b20ee7cdc1058c6293743a78de253b959fdf0a48fd6cb1c0434",
+        "",
+    ),
+    (
+        "verify --scope all --moduli 3,5 --n 0..10 --trunc 15 --format csv",
+        0,
+        "858e876c8d3b635f5cfe12bf4f077d0bb5d695e3303ae42d4ec427bc636cfd16",
+        "length: skipped, needs a single modulus\n",
+    ),
+    (
+        "verify --scope all --moduli 2 --n 0..10 --trunc 20 --format jsonl",
+        0,
+        "43b870431b14ddcac62a0991ba9ce19ee826a2c8d7a41b7549471f9d084ddd5d",
+        "",
+    ),
+    (
+        "verify --scope series --moduli 2,3 --trunc 25",
+        0,
+        "b0f681632beefa3638829c47d26ef2b79ce882c4ad87d008d561ac0f9276fbbf",
+        "",
+    ),
+    (
+        "verify --scope series --moduli 3,7 --trunc 25 --format jsonl",
+        0,
+        "e72595b10179bdc7fb899e7b492515efbaf308e0525508e751b464f054ecd87b",
+        "",
+    ),
+    (
+        "verify --scope xyc --moduli 2,3,7 --n 0..20",
+        0,
+        "2d45cff2d49eaebc4d2955b862dc3d24df5198bd716253b71f8d5ee91982c9a1",
+        "",
+    ),
+    (
+        "verify --scope xyc --moduli 3,5 --n 0..8",
+        0,
+        "5632e840a4559cddb6fdaa0ca137c1009a8751e508433298dfccda15712da782",
+        "",
+    ),
+    (
+        "verify --scope length --moduli 5 --n 0..20 --format csv",
+        0,
+        "d7b706d94003b62d70482f041b62f3e58b32a85b7948a8cf7622fcc3e46ecbc0",
+        "",
+    ),
+    (
+        "verify --scope length --moduli 2,3 --n 6",
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: UsageError: length scope needs a single modulus\n",
+    ),
+    (
+        "enumerate --class irp --moduli 3,7 --n 18 --format csv",
+        0,
+        "13a784740bff0f206bc3adb90739cd54b89afa68e98a802cd234efdf491276e4",
+        "",
+    ),
+    (
+        "enumerate --class cp --moduli 3 --n 12",
+        0,
+        "c2649cc24ebabe28a05d0995d8fe3b7b7f5264f014304e398505e0a17d104526",
+        "",
+    ),
+    (
+        "enumerate --class all --n 10 --format jsonl",
+        0,
+        "35eed4ea0a783ec991c5486244f7d7edbdb041cf86455ad7ffcd51a788ffae0c",
+        "",
+    ),
+    (
+        "glaisher --parts 4,2 --r 2 --inverse --format csv",
+        0,
+        "ba8c56adb6e1964f5f564ad75f425a95afc44f255d6b438caf420d3c8cd3230f",
+        "",
+    ),
+    (
+        "glaisher --parts 1,1,1,1,1,1,3,3,3 --r 3",
+        0,
+        "da8a8dae5a45e17e8c5a2755ed34cfa3cf3279bfe0c7b5e4e4f92c1731bbd41c",
+        "",
+    ),
+    (
+        "glaisher --parts 1,1,2,2,2,4 --r 2 --format jsonl",
+        0,
+        "92cccbd021caf8b28835f2d61c4560fb88d0d04ea0547c1f1c858be35d50898f",
+        "",
+    ),
+    (
+        "glaisher --parts 12,9,6,3 --r 3 --inverse",
+        0,
+        "c907d26872a673243b3e9ba443a49444abd94fb5e11558913ff5e9d0da25007d",
+        "",
+    ),
+]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("command, code, digest, err", GOLDEN)
+    def test_command(self, capsys, command, code, digest, err):
+        got_code, out, got_err = run(capsys, *shlex.split(command))
+        assert got_code == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert got_err == err
 
 
 class TestDeterminism:

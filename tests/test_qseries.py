@@ -85,7 +85,12 @@ class TestArithmetic:
         f = TruncatedSeries([1, 1, 1, 1])
         g = TruncatedSeries([1, 1])
         assert (f + g).truncation == 1
+        assert (f - g).truncation == 1
         assert (f * g).truncation == 1
+
+    def test_subtracting_a_non_series_raises(self):
+        with pytest.raises(TypeError):
+            TruncatedSeries([1, 1]) - 1
 
     @given(series_values, series_values)
     def test_mul_commutes(self, f, g):
@@ -359,7 +364,8 @@ class TestSecondWitness:
         assert gf_class(family, self.TRUNC) == _subset_inclusion_exclusion(family, self.TRUNC)
 
     @pytest.mark.parametrize(
-        "raw", [2, 3, 4, 5, (2, 3), (3, 4), (3, 5), (3, 7), (2, 3, 7)]
+        "raw",
+        [2, 3, 4, 5, (2, 3), (3, 4), (3, 5), (3, 7), (2, 3, 7), (2, 3, 5, 7), (4, 3, 5, 7)],
     )
     def test_families_match_subset_inclusion_exclusion(self, raw):
         for family in (
