@@ -3,7 +3,8 @@
 Exit codes: 0 for success (including verification runs whose only failures
 are informational), 1 for a verification failure that was expected to hold,
 2 for invalid input or out-of-range requests, 3 for an internal error, with
-its traceback on stderr.
+its traceback on stderr, and 141 (128 + SIGPIPE) when the reader of stdout
+goes away before the output ends.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import traceback
 
@@ -30,7 +32,7 @@ from .classes import (
 from .glaisher import NotRegular, glaisher_forward, glaisher_inverse
 from .partition import Partition
 from .qseries import verify_series_vs_enumeration
-from .stats import XYCRow, verify_length_identity, verify_xyc
+from .stats import verify_length_identity, verify_xyc
 
 MAX_PLAIN_N = 200
 MAX_PLAIN_TRUNC = 500
@@ -131,28 +133,32 @@ def _csv_writer(stream):
     return csv.writer(stream, lineterminator="\n")
 
 
-def _emit_rows(rows, header, fmt, stream) -> None:
-    """Rows are dicts keyed exactly by the header entries."""
+def _emit_rows(results, columns, fmt, stream) -> list:
+    """Write one row per result as soon as it arrives and return the results.
+
+    ``columns`` is a table of (name, getter) pairs: the names make the header
+    and the jsonl keys, and each getter reads its cell from a result.
+    """
+    writer = _csv_writer(stream)
     if fmt == "csv":
-        writer = _csv_writer(stream)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(row[key]) for key in header])
-    elif fmt == "jsonl":
-        for row in rows:
-            print(json.dumps({key: row[key] for key in header}), file=stream)
-    else:
-        for row in rows:
-            pieces = []
-            for key in header:
-                if key in ("pass", "coefficients"):
-                    continue
-                value = row[key]
-                pieces.append(f"{key}={'none' if value is None else _cell(value)}")
-            verdict = ""
-            if "pass" in row:
-                verdict = " PASS" if row["pass"] else " FAIL"
-            print(" ".join(pieces) + verdict, file=stream)
+        writer.writerow([name for name, _ in columns])
+    kept = []
+    for result in results:
+        row = {name: get(result) for name, get in columns}
+        if fmt == "csv":
+            writer.writerow([_cell(value) for value in row.values()])
+        elif fmt == "jsonl":
+            print(json.dumps(row), file=stream)
+        else:
+            pieces = [
+                f"{name}={'none' if value is None else _cell(value)}"
+                for name, value in row.items()
+                if name not in ("pass", "coefficients")
+            ]
+            print(" ".join(pieces) + (" PASS" if row["pass"] else " FAIL"), file=stream)
+        stream.flush()
+        kept.append(result)
+    return kept
 
 
 def _cell(value):
@@ -213,30 +219,36 @@ def _cmd_glaisher(args) -> int:
     return 0
 
 
-XYC_HEADER = ["moduli", "n", "j", "X", "Y", "diff", "c", "inferior", "hypothesis", "pass"]
-LENGTH_HEADER = [
-    "modulus", "n", "class_regular_lengths", "regular_lengths", "operations", "pass",
-]
-SERIES_HEADER = [
-    "family", "moduli", "trunc",
-    "count_mismatch", "operations_mismatch", "regular_differs_at",
-    "coefficients", "pass",
-]
-
-
-def _xyc_row_dict(row: XYCRow) -> dict:
-    return {
-        "moduli": list(row.moduli),
-        "n": row.n,
-        "j": row.residue,
-        "X": row.x_total,
-        "Y": row.y_total,
-        "diff": row.difference,
-        "c": row.operation_total,
-        "inferior": row.inferior_count,
-        "hypothesis": row.hypothesis_holds,
-        "pass": row.ok,
-    }
+XYC_COLUMNS = (
+    ("moduli", lambda row: list(row.moduli)),
+    ("n", lambda row: row.n),
+    ("j", lambda row: row.residue),
+    ("X", lambda row: row.x_total),
+    ("Y", lambda row: row.y_total),
+    ("diff", lambda row: row.difference),
+    ("c", lambda row: row.operation_total),
+    ("inferior", lambda row: row.inferior_count),
+    ("hypothesis", lambda row: row.hypothesis_holds),
+    ("pass", lambda row: row.ok),
+)
+LENGTH_COLUMNS = (
+    ("modulus", lambda check: check.modulus),
+    ("n", lambda check: check.n),
+    ("class_regular_lengths", lambda check: check.class_regular_length_sum),
+    ("regular_lengths", lambda check: check.regular_length_sum),
+    ("operations", lambda check: check.operation_total),
+    ("pass", lambda check: check.ok),
+)
+SERIES_COLUMNS = (
+    ("family", lambda check: check.family.kind),
+    ("moduli", lambda check: list(check.family.moduli or ())),
+    ("trunc", lambda check: check.truncation),
+    ("count_mismatch", lambda check: check.count_mismatch),
+    ("operations_mismatch", lambda check: check.operations_mismatch),
+    ("regular_differs_at", lambda check: check.regular_counts_differ_at),
+    ("coefficients", lambda check: list(check.series.coefficients)),
+    ("pass", lambda check: check.ok),
+)
 
 
 def xyc_exit_code(rows) -> int:
@@ -254,13 +266,8 @@ def checks_exit_code(checks) -> int:
 
 def _cmd_verify(args) -> int:
     scope = args.scope
-    fmt = args.format
-    out = sys.stdout
-    exit_code = 0
-
-    wants_sizes = scope in ("xyc", "length", "all")
     sizes: list[int] = []
-    if wants_sizes:
+    if scope != "series":
         if args.n is None:
             raise UsageError(f"scope {scope} needs --n")
         sizes = _parse_n_range(args.n)
@@ -268,61 +275,36 @@ def _cmd_verify(args) -> int:
     if args.moduli is None:
         raise UsageError("verify needs --moduli")
     mt = _parse_moduli(args.moduli)
+    if scope == "length" and len(mt) > 1:
+        raise UsageError("length scope needs a single modulus")
     if scope in ("series", "all"):
         _guard_trunc(args.trunc, args.force)
 
-    if scope in ("xyc", "all"):
-        rows = []
-        for n in sizes:
-            rows.extend(verify_xyc(mt, n))
-        _emit_rows([_xyc_row_dict(row) for row in rows], XYC_HEADER, fmt, out)
-        exit_code = max(exit_code, xyc_exit_code(rows))
-
-    if scope in ("length", "all"):
-        if len(mt) == 1:
-            checks = [verify_length_identity(mt.head, n) for n in sizes]
-            dicts = [
-                {
-                    "modulus": check.modulus,
-                    "n": check.n,
-                    "class_regular_lengths": check.class_regular_length_sum,
-                    "regular_lengths": check.regular_length_sum,
-                    "operations": check.operation_total,
-                    "pass": check.ok,
-                }
-                for check in checks
-            ]
-            _emit_rows(dicts, LENGTH_HEADER, fmt, out)
-            exit_code = max(exit_code, checks_exit_code(checks))
-        elif scope == "length":
-            raise UsageError("length scope needs a single modulus")
-        else:
+    families = [
+        PartitionClass.all_partitions(),
+        PartitionClass.class_regular(mt),
+        PartitionClass.regular(mt),
+        PartitionClass.inferior_regular(mt),
+    ]
+    # (name, results, columns, exit rule); every results entry is lazy, so
+    # each row is written as soon as its size or family is done
+    sections = [
+        ("xyc", (row for n in sizes for row in verify_xyc(mt, n)),
+         XYC_COLUMNS, xyc_exit_code),
+        ("length", (verify_length_identity(mt.head, n) for n in sizes),
+         LENGTH_COLUMNS, checks_exit_code),
+        ("series", (verify_series_vs_enumeration(f, args.trunc) for f in families),
+         SERIES_COLUMNS, checks_exit_code),
+    ]
+    exit_code = 0
+    for name, results, columns, exit_rule in sections:
+        if scope not in (name, "all"):
+            continue
+        if name == "length" and len(mt) > 1:
             print("length: skipped, needs a single modulus", file=sys.stderr)
-
-    if scope in ("series", "all"):
-        families = [
-            PartitionClass.all_partitions(),
-            PartitionClass.class_regular(mt),
-            PartitionClass.regular(mt),
-            PartitionClass.inferior_regular(mt),
-        ]
-        checks = [verify_series_vs_enumeration(f, args.trunc) for f in families]
-        dicts = [
-            {
-                "family": check.family.kind,
-                "moduli": list(check.family.moduli) if check.family.moduli else [],
-                "trunc": check.truncation,
-                "count_mismatch": check.count_mismatch,
-                "operations_mismatch": check.operations_mismatch,
-                "regular_differs_at": check.regular_counts_differ_at,
-                "coefficients": list(check.series.coefficients),
-                "pass": check.ok,
-            }
-            for check in checks
-        ]
-        _emit_rows(dicts, SERIES_HEADER, fmt, out)
-        exit_code = max(exit_code, checks_exit_code(checks))
-
+            continue
+        kept = _emit_rows(results, columns, args.format, sys.stdout)
+        exit_code = max(exit_code, exit_rule(kept))
     return exit_code
 
 
@@ -369,17 +351,25 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        return 141
     except _DOMAIN_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()
         return 3
+    return code
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    if code == 141:
+        # the reader is gone: let the interpreter's final flush go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,14 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .classes import ALL, INFERIOR_REGULAR, ModulusTuple, PartitionClass, count_class
+from .classes import (
+    ALL,
+    INFERIOR_REGULAR,
+    ModulusTuple,
+    PartitionClass,
+    count_class,
+    validate_tuple,
+)
 from .stats import _census
 
 
@@ -190,15 +197,16 @@ def gf_class(family: PartitionClass, truncation: int) -> TruncatedSeries:
     return TruncatedSeries(_factor_product([1] + [0] * truncation, forbidden))
 
 
-def gf_tuple_inferior(moduli: ModulusTuple, truncation: int) -> TruncatedSeries:
+def gf_tuple_inferior(moduli: ModulusTuple | int, truncation: int) -> TruncatedSeries:
     """Inferior-regular generating function from its divisor-count tail.
 
-    Works for any validated tuple, including a single modulus. The family's
-    product form multiplies the tail of q^(head * k) / (1 - q^(head * k))
-    over the k that no non-leading modulus divides: its coefficient at d
-    counts those k with head * k dividing d.
+    Takes a tuple or a single modulus, validated as ``PartitionClass`` does.
+    The family's product form multiplies the tail of
+    q^(head * k) / (1 - q^(head * k)) over the k that no non-leading modulus
+    divides: its coefficient at d counts those k with head * k dividing d.
     """
     _check_truncation(truncation)
+    moduli = validate_tuple(moduli)
     tail = [0] * (truncation + 1)
     for k in range(1, truncation // moduli.head + 1):
         if all(k % t for t in moduli.tail):

@@ -2,7 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +17,7 @@ from regpart import (
     TruncatedSeries,
     validate_tuple,
 )
+from regpart import cli
 from regpart.cli import (
     UsageError,
     _guard_n,
@@ -424,6 +428,81 @@ class TestGoldenOutput:
         assert got_code == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert got_err == err
+
+
+def _record_stdout_at_each_call(monkeypatch, name):
+    # replace stdout and wrap the named cli function; each call records the
+    # call's arguments and what stdout held when it started
+    out = io.StringIO()
+    calls = []
+    real = getattr(cli, name)
+
+    def recorded(*args):
+        calls.append((args, out.getvalue()))
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, recorded)
+    monkeypatch.setattr(sys, "stdout", out)
+    return out, calls
+
+
+class TestStreaming:
+    def test_first_xyc_row_is_written_before_the_last_size_is_computed(self, monkeypatch):
+        out, calls = _record_stdout_at_each_call(monkeypatch, "verify_xyc")
+        assert main(["verify", "--scope", "xyc", "--moduli", "3", "--n", "0..6"]) == 0
+        first_row = out.getvalue().splitlines()[0]
+        (_, last_n), written = calls[-1]
+        assert last_n == 6
+        assert written.startswith(first_row + "\n")
+
+    def test_series_rows_are_written_before_the_inferior_check_starts(self, monkeypatch):
+        _, calls = _record_stdout_at_each_call(monkeypatch, "verify_series_vs_enumeration")
+        assert main(["verify", "--scope", "series", "--moduli", "3", "--trunc", "8"]) == 0
+        (family, _), written = calls[-1]
+        assert family == PartitionClass.inferior_regular(3)
+        rows = [line.split()[0] for line in written.splitlines()]
+        assert rows == ["family=all", "family=class-regular", "family=regular"]
+
+    def test_internal_error_keeps_the_rows_already_written(self, capsys, monkeypatch):
+        _, earlier, _ = run(capsys, "verify", "--scope", "xyc", "--moduli", "3", "--n", "0..3")
+        real = cli.verify_xyc
+
+        def broken(moduli, n):
+            if n == 4:
+                raise RuntimeError("internal fault")
+            return real(moduli, n)
+
+        monkeypatch.setattr(cli, "verify_xyc", broken)
+        code, out, err = run(capsys, "verify", "--scope", "xyc", "--moduli", "3", "--n", "0..4")
+        assert code == 3
+        assert out == earlier != ""
+        assert "Traceback" in err
+        assert "RuntimeError: internal fault" in err
+
+
+class TestClosedPipe:
+    # the reader takes a few bytes, or none, and goes away; the glaisher output
+    # is small enough to sit in the buffer until the command has finished
+    @pytest.mark.parametrize(
+        "command, taken",
+        [
+            ("enumerate --class all --n 40", 10),
+            ("verify --scope series --moduli 3 --trunc 40", 10),
+            ("glaisher --parts 4,2 --r 2 --inverse", 0),
+        ],
+    )
+    def test_reader_going_away_exits_141_quietly(self, command, taken):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = [sys.executable, "-m", "regpart.cli", *shlex.split(command)]
+        with subprocess.Popen(
+            argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as proc:
+            assert len(proc.stdout.read(taken)) == taken
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert err == b""
 
 
 class TestDeterminism:

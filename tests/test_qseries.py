@@ -17,6 +17,7 @@ from regpart import (
     ALL,
     INFERIOR_REGULAR,
     NonInvertible,
+    NotCoprime,
     PartitionClass,
     TruncatedSeries,
     count_class,
@@ -239,6 +240,13 @@ class TestTupleInferior:
             assert gf_tuple_inferior(validate_tuple(r), 20) == gf_class(
                 PartitionClass.inferior_regular(r), 20
             )
+
+    def test_bare_int_is_a_single_modulus(self):
+        assert gf_tuple_inferior(3, 10) == gf_class(PartitionClass.inferior_regular(3), 10)
+
+    def test_tuple_is_validated(self):
+        with pytest.raises(NotCoprime):
+            gf_tuple_inferior((2, 4), 10)
 
     def test_counts_inferior_members_brute_force(self):
         for raw in ((2, 3), (3, 5)):
