@@ -89,10 +89,10 @@ class ModulusTuple:
 
 
 def validate_tuple(moduli: ModulusTuple | Iterable[int] | int) -> ModulusTuple:
-    """Coerce an int or an iterable of ints into a validated ModulusTuple."""
+    """Coerce one modulus or an iterable of moduli into a validated ModulusTuple."""
     if isinstance(moduli, ModulusTuple):
         return moduli
-    if isinstance(moduli, int) and not isinstance(moduli, bool):
+    if not isinstance(moduli, Iterable):
         return ModulusTuple((moduli,))
     return ModulusTuple(tuple(moduli))
 

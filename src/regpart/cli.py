@@ -31,8 +31,7 @@ from .classes import (
 )
 from .glaisher import NotRegular, glaisher_forward, glaisher_inverse
 from .partition import Partition
-from .qseries import verify_series_vs_enumeration
-from .stats import verify_length_identity, verify_xyc
+from .stats import verify_length_identity, verify_series_vs_enumeration, verify_xyc
 
 MAX_PLAIN_N = 200
 MAX_PLAIN_TRUNC = 500

@@ -131,6 +131,8 @@ def merge_counts(modulus: int, top: int) -> list[int]:
     (m - s(m)) / (modulus - 1), s(m) the base-modulus digit sum of m. Summed
     over its runs, this is a class-regular partition's operation count."""
     _check_modulus(modulus)
+    if top < 0:
+        raise ValueError(f"run lengths are nonnegative, got top {top}")
     digit_sums = [0] * (top + 1)
     for m in range(1, top + 1):
         digit_sums[m] = digit_sums[m // modulus] + m % modulus

@@ -6,8 +6,9 @@ result is truncated to the smallest degree among its inputs. The family
 generating functions are built in place from sparse factors: one rising
 pass per factor 1 / (1 - q^k), over the k no modulus divides, gives the
 product forms, and the inferior-regular family multiplies them into a tail
-of divisor counts. They are verified coefficient by coefficient against
-direct enumeration.
+of divisor counts. This module only builds series;
+``verify_series_vs_enumeration`` checks them coefficient by coefficient
+against direct enumeration.
 """
 
 from __future__ import annotations
@@ -15,15 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .classes import (
-    ALL,
-    INFERIOR_REGULAR,
-    ModulusTuple,
-    PartitionClass,
-    count_class,
-    validate_tuple,
-)
-from .stats import _census
+from .classes import ALL, INFERIOR_REGULAR, ModulusTuple, PartitionClass, validate_tuple
 
 
 class NonInvertible(ValueError):
@@ -225,10 +218,8 @@ class SeriesCheck:
     a coefficient differs from the summed merge-operation counts over the
     class-regular family, and ``regular_counts_differ_at`` is the first
     degree where the coefficients depart from the regular family's counts.
-    The last one is expected to be a degree, not None: it records that the
-    operation totals count the inferior-regular family and not the regular
-    one, which the two families' shared small values would otherwise leave
-    ambiguous.
+    That last one is always 0: the regular family holds the empty partition
+    and the inferior-regular family does not.
     """
 
     family: PartitionClass
@@ -242,27 +233,3 @@ class SeriesCheck:
     def ok(self) -> bool:
         return self.count_mismatch is None and self.operations_mismatch is None
 
-
-def _first_difference(series: TruncatedSeries, value_at) -> int | None:
-    return next(
-        (d for d in range(series.truncation + 1) if series[d] != value_at(d)), None
-    )
-
-
-def verify_series_vs_enumeration(family: PartitionClass, truncation: int) -> SeriesCheck:
-    """Compare every coefficient up to the truncation with enumeration."""
-    series = gf_class(family, truncation)
-    count_mismatch = _first_difference(series, lambda d: count_class(family, d))
-    operations_mismatch = regular_differs = None
-    if family.kind == INFERIOR_REGULAR:
-        censuses = [_census(family.moduli, d) for d in range(truncation + 1)]
-        operations_mismatch = _first_difference(series, lambda d: censuses[d].operations)
-        regular_differs = _first_difference(series, lambda d: censuses[d].regular)
-    return SeriesCheck(
-        family=family,
-        truncation=truncation,
-        series=series,
-        count_mismatch=count_mismatch,
-        operations_mismatch=operations_mismatch,
-        regular_counts_differ_at=regular_differs,
-    )

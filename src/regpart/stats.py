@@ -8,17 +8,19 @@ the total number of merge operations, which in turn equals the number of
 inferior-regular partitions of n. The identity needs every tail modulus to
 be congruent to 1 modulo the leading one; the aggregate report records
 whether that hypothesis holds so a failure can be told apart from a
-counterexample. One census fold per size reads run tuples and counts merge
-operations in closed form from the run multiplicities, without simulating
-any merge; the identity checks and the series operations check all read it.
+counterexample. Two folds per size read run tuples: the class-regular fold
+gives X and the merge operations, counted in closed form from the run
+multiplicities without simulating any merge, and the regular fold gives Y.
+The identity checks read both; the series check, which compares each family
+generating function with enumeration, reads only the class-regular fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .classes import (
+    INFERIOR_REGULAR,
     ModulusTuple,
     PartitionClass,
     count_class,
@@ -27,6 +29,7 @@ from .classes import (
 )
 from .glaisher import merge_counts
 from .partition import Partition
+from .qseries import SeriesCheck, TruncatedSeries, gf_class
 
 
 def count_congruent_parts(partition: Partition, modulus: int, residue: int) -> int:
@@ -66,15 +69,9 @@ class XYCReport:
     hypothesis_holds: bool
 
 
-class _Census(NamedTuple):
-    x: list[int]  # X_j at index j; index 0 stays 0
-    y: list[int]  # Y_j at index j; index 0 counts every run
-    operations: int
-    regular: int  # number of regular partitions
-
-
-def _census(moduli: ModulusTuple, n: int) -> _Census:
-    # One pass over the class-regular and one over the regular family at n.
+def _class_regular_fold(moduli: ModulusTuple, n: int) -> tuple[list[int], int]:
+    # One pass over the class-regular family at n: X_j at index j (index 0
+    # stays 0) and the merge-operation total.
     head = moduli.head
     merges = merge_counts(head, n)
     x_totals = [0] * head
@@ -83,30 +80,31 @@ def _census(moduli: ModulusTuple, n: int) -> _Census:
         for part, mult in runs:
             x_totals[part % head] += mult
             operations += merges[mult]
-    runs_by_mult = [0] * head  # regular multiplicities stay below head
-    regular = 0
+    return x_totals, operations
+
+
+def _regular_fold(moduli: ModulusTuple, n: int) -> list[int]:
+    # One pass over the regular family at n: Y_j at index j, where index 0
+    # counts every run.
+    runs_by_mult = [0] * moduli.head  # regular multiplicities stay below head
     for runs in enumerate_runs(PartitionClass.regular(moduli), n):
-        regular += 1
         for _, mult in runs:
             runs_by_mult[mult] += 1
-    y_totals = [sum(runs_by_mult[j:]) for j in range(head)]
-    return _Census(x_totals, y_totals, operations, regular)
+    return [sum(runs_by_mult[j:]) for j in range(moduli.head)]
 
 
 def aggregate(moduli: ModulusTuple | int, n: int) -> XYCReport:
     """One pass over each family, collecting every residue at once."""
     moduli = validate_tuple(moduli)
-    census = _census(moduli, n)
-    per_residue = {
-        j: (census.x[j], census.y[j], census.x[j] - census.y[j])
-        for j in range(1, moduli.head)
-    }
+    x, operations = _class_regular_fold(moduli, n)
+    y = _regular_fold(moduli, n)
+    per_residue = {j: (x[j], y[j], x[j] - y[j]) for j in range(1, moduli.head)}
     inferior = count_class(PartitionClass.inferior_regular(moduli), n)
     return XYCReport(
         moduli=moduli,
         n=n,
         per_residue=per_residue,
-        operation_total=census.operations,
+        operation_total=operations,
         inferior_count=inferior,
         hypothesis_holds=moduli.tail_congruent,
     )
@@ -180,15 +178,43 @@ def verify_length_identity(modulus: int, n: int) -> LengthCheck:
     multiplicity is below it, so the length sums are the sums of X_j and of
     Y_j over the residues j >= 1.
     """
-    census = _census(ModulusTuple((modulus,)), n)
-    class_sum = sum(census.x)
-    regular_sum = sum(census.y[1:])
-    ok = class_sum - regular_sum == (modulus - 1) * census.operations
+    moduli = ModulusTuple((modulus,))
+    x, operations = _class_regular_fold(moduli, n)
+    class_sum = sum(x)
+    regular_sum = sum(_regular_fold(moduli, n)[1:])
+    ok = class_sum - regular_sum == (modulus - 1) * operations
     return LengthCheck(
         modulus=modulus,
         n=n,
         class_regular_length_sum=class_sum,
         regular_length_sum=regular_sum,
-        operation_total=census.operations,
+        operation_total=operations,
         ok=ok,
+    )
+
+
+def _first_difference(series: TruncatedSeries, value_at) -> int | None:
+    return next(
+        (d for d in range(series.truncation + 1) if series[d] != value_at(d)), None
+    )
+
+
+def verify_series_vs_enumeration(family: PartitionClass, truncation: int) -> SeriesCheck:
+    """Compare every coefficient up to the truncation with enumeration."""
+    series = gf_class(family, truncation)
+    count_mismatch = _first_difference(series, lambda d: count_class(family, d))
+    operations_mismatch = regular_differs = None
+    if family.kind == INFERIOR_REGULAR:
+        operations_mismatch = _first_difference(
+            series, lambda d: _class_regular_fold(family.moduli, d)[1]
+        )
+        regular = PartitionClass.regular(family.moduli)
+        regular_differs = _first_difference(series, lambda d: count_class(regular, d))
+    return SeriesCheck(
+        family=family,
+        truncation=truncation,
+        series=series,
+        count_mismatch=count_mismatch,
+        operations_mismatch=operations_mismatch,
+        regular_counts_differ_at=regular_differs,
     )

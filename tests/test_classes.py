@@ -88,6 +88,9 @@ class TestPartitionClass:
     def test_raw_moduli_are_validated(self):
         with pytest.raises(NotCoprime):
             PartitionClass("regular", (2, 4))
+        for scalar in (True, 2.5, None):
+            with pytest.raises(TooSmall):
+                validate_tuple(scalar)
         assert PartitionClass("regular", 3) == PartitionClass.regular(3)
         assert count_class(PartitionClass("regular", 3), 6) == 7
 

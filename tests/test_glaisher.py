@@ -182,6 +182,8 @@ def test_closed_form_table():
     assert merge_counts(5, 0) == [0]
     with pytest.raises(TooSmall):
         merge_counts(1, 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        merge_counts(3, -1)
 
 
 @given(class_regular_inputs())

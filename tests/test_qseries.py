@@ -330,12 +330,15 @@ class TestVerification:
         assert check.ok
 
     def test_inferior_records_departure_from_regular_counts(self):
-        check = verify_series_vs_enumeration(PartitionClass.inferior_regular(2), 10)
-        assert check.ok
-        assert check.regular_counts_differ_at is not None
-        # the streams genuinely diverge: at size 3 the inferior family has
-        # one member but the regular family two
-        assert check.series[3] == 1
+        # always degree 0: the regular family holds the empty partition and
+        # the inferior-regular family does not
+        for raw in (2, 3, (2, 3), (3, 7)):
+            check = verify_series_vs_enumeration(PartitionClass.inferior_regular(raw), 10)
+            assert check.ok
+            assert check.regular_counts_differ_at == 0
+        # the streams diverge past degree 0 too: at size 3 the inferior
+        # family of 2 has one member but the regular family two
+        assert gf_class(PartitionClass.inferior_regular(2), 3)[3] == 1
         assert count_class(PartitionClass.regular(2), 3) == 2
 
 

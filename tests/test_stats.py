@@ -1,4 +1,4 @@
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given
@@ -12,6 +12,9 @@ from oracles import (
     partitions_desc,
 )
 from regpart import (
+    CLASS_REGULAR,
+    INFERIOR_REGULAR,
+    REGULAR,
     Partition,
     PartitionClass,
     aggregate,
@@ -21,8 +24,10 @@ from regpart import (
     glaisher_forward,
     validate_tuple,
     verify_length_identity,
+    verify_series_vs_enumeration,
     verify_xyc,
 )
+from regpart import classes
 
 parts_lists = st.lists(st.integers(min_value=1, max_value=12), max_size=14)
 
@@ -182,3 +187,21 @@ class TestLengthIdentity:
         assert check.class_regular_length_sum == class_sum
         assert check.regular_length_sum == regular_sum
         assert check.ok
+
+
+def test_series_check_walks_each_family_once_per_degree_it_reads(monkeypatch):
+    # every enumeration, count and fold goes through the one run kernel
+    walks = defaultdict(list)
+    real = classes._family_runs
+
+    def recorded(family, n):
+        walks[family.kind].append(n)
+        return real(family, n)
+
+    monkeypatch.setattr(classes, "_family_runs", recorded)
+    check = verify_series_vs_enumeration(PartitionClass.inferior_regular(3), 12)
+    assert check.ok
+    assert check.regular_counts_differ_at == 0
+    assert walks[REGULAR] == [0]
+    assert walks[CLASS_REGULAR] == list(range(13))
+    assert walks[INFERIOR_REGULAR] == list(range(13))
