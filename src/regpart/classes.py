@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import gcd
 
-from .partition import Partition
+from .partition import Partition, _check_int
 
 
 class EmptyTuple(ValueError):
@@ -51,8 +51,7 @@ class ModulusTuple:
         if not values:
             raise EmptyTuple("need at least one modulus")
         for r in values:
-            if not isinstance(r, int) or isinstance(r, bool) or r < 2:
-                raise TooSmall(f"modulus {r!r} is not an integer >= 2")
+            _check_int(r, 2, "modulus", TooSmall)
         for i, a in enumerate(values):
             for b in values[i + 1:]:
                 if gcd(a, b) != 1:
@@ -92,7 +91,7 @@ def validate_tuple(moduli: ModulusTuple | Iterable[int] | int) -> ModulusTuple:
     """Coerce one modulus or an iterable of moduli into a validated ModulusTuple."""
     if isinstance(moduli, ModulusTuple):
         return moduli
-    if not isinstance(moduli, Iterable):
+    if isinstance(moduli, (bytes, bytearray)) or not isinstance(moduli, Iterable):
         return ModulusTuple((moduli,))
     return ModulusTuple(tuple(moduli))
 
@@ -214,8 +213,7 @@ def _run_tuples(n, divisors, cap, heavy):
 
 
 def _family_runs(family: PartitionClass, n: int):
-    if n < 0:
-        raise ValueError(f"partition sizes are nonnegative, got {n}")
+    _check_int(n, 0, "partition size")
     divisors, cap, heavy = _shape(family)
     return _run_tuples(n, divisors, n if cap is None else cap, heavy)
 

@@ -43,22 +43,23 @@ class UsageError(ValueError):
 _DOMAIN_ERRORS = (EmptyTuple, TooSmall, NotCoprime, NotRegular, UsageError)
 
 
-def _parse_moduli(text: str) -> ModulusTuple:
+def _ints(pieces, what: str, text: str) -> list[int]:
     try:
-        values = [int(piece) for piece in text.split(",") if piece.strip() != ""]
+        return [int(piece) for piece in pieces]
     except ValueError:
-        raise UsageError(f"cannot parse moduli {text!r}") from None
-    return validate_tuple(values)
+        raise UsageError(f"cannot parse {what} {text!r}") from None
+
+
+def _parse_moduli(text: str) -> ModulusTuple:
+    pieces = [piece for piece in text.split(",") if piece.strip() != ""]
+    return validate_tuple(_ints(pieces, "moduli", text))
 
 
 def _parse_parts(text: str) -> Partition:
     stripped = text.strip()
     if not stripped:
         return Partition()
-    try:
-        values = [int(piece) for piece in stripped.split(",")]
-    except ValueError:
-        raise UsageError(f"cannot parse parts {text!r}") from None
+    values = _ints(stripped.split(","), "parts", text)
     if any(value < 1 for value in values):
         raise UsageError(f"parts must be positive, got {text!r}")
     return Partition(values)
@@ -66,39 +67,20 @@ def _parse_parts(text: str) -> Partition:
 
 def _parse_n_range(text: str) -> list[int]:
     if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        try:
-            lo, hi = int(lo_text), int(hi_text)
-        except ValueError:
-            raise UsageError(f"cannot parse range {text!r}") from None
+        lo, hi = _ints(text.split("..", 1), "range", text)
         if lo < 0 or hi < lo:
             raise UsageError(f"bad range {text!r}")
         return list(range(lo, hi + 1))
-    try:
-        n = int(text)
-    except ValueError:
-        raise UsageError(f"cannot parse size {text!r}") from None
+    (n,) = _ints([text], "size", text)
     if n < 0:
         raise UsageError(f"size must be nonnegative, got {n}")
     return [n]
 
 
-def _guard_n(values: list[int], force: bool) -> None:
-    worst = max(values, default=0)
-    if worst > MAX_PLAIN_N and not force:
-        raise UsageError(
-            f"refusing n={worst} above {MAX_PLAIN_N}; pass --force to override"
-        )
-
-
-def _guard_trunc(trunc: int, force: bool) -> None:
-    if trunc < 0:
-        raise UsageError(f"truncation must be nonnegative, got {trunc}")
-    if trunc > MAX_PLAIN_TRUNC and not force:
-        raise UsageError(
-            f"refusing truncation {trunc} above {MAX_PLAIN_TRUNC}; "
-            "pass --force to override"
-        )
+def _guard(what: str, value: int, limit: int, force: bool) -> None:
+    # what carries its own separator: "n=" or "truncation "
+    if value > limit and not force:
+        raise UsageError(f"refusing {what}{value} above {limit}; pass --force to override")
 
 
 _CLASS_NAMES = {
@@ -175,8 +157,8 @@ def _cmd_enumerate(args) -> int:
     sizes = _parse_n_range(args.n)
     if len(sizes) != 1:
         raise UsageError("enumerate takes a single size, not a range")
-    _guard_n(sizes, args.force)
     n = sizes[0]
+    _guard("n=", n, MAX_PLAIN_N, args.force)
     out = sys.stdout
     if args.format == "csv":
         writer = _csv_writer(out)
@@ -270,14 +252,16 @@ def _cmd_verify(args) -> int:
         if args.n is None:
             raise UsageError(f"scope {scope} needs --n")
         sizes = _parse_n_range(args.n)
-        _guard_n(sizes, args.force)
+        _guard("n=", sizes[-1], MAX_PLAIN_N, args.force)
     if args.moduli is None:
         raise UsageError("verify needs --moduli")
     mt = _parse_moduli(args.moduli)
     if scope == "length" and len(mt) > 1:
         raise UsageError("length scope needs a single modulus")
     if scope in ("series", "all"):
-        _guard_trunc(args.trunc, args.force)
+        if args.trunc < 0:
+            raise UsageError(f"truncation must be nonnegative, got {args.trunc}")
+        _guard("truncation ", args.trunc, MAX_PLAIN_TRUNC, args.force)
 
     families = [
         PartitionClass.all_partitions(),

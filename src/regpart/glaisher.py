@@ -29,7 +29,7 @@ from .classes import (
     is_member,
     validate_tuple,
 )
-from .partition import Partition
+from .partition import Partition, _check_int
 
 
 class NotRegular(ValueError):
@@ -108,11 +108,6 @@ def _run(partition: Partition, r: int, op: str, candidates) -> GlaisherTrace:
     return GlaisherTrace(partition, end, r, tuple(steps))
 
 
-def _check_modulus(r: int) -> None:
-    if not isinstance(r, int) or isinstance(r, bool) or r < 2:
-        raise TooSmall(f"modulus {r!r} is not an integer >= 2")
-
-
 def glaisher_forward(partition: Partition, modulus: int) -> GlaisherTrace:
     """Merge until every multiplicity is below the modulus.
 
@@ -120,7 +115,7 @@ def glaisher_forward(partition: Partition, modulus: int) -> GlaisherTrace:
     end partition has all multiplicities below the modulus and the same
     total size as the start.
     """
-    _check_modulus(modulus)
+    _check_int(modulus, 2, "modulus", TooSmall)
     return _run(partition, modulus, MERGE, lambda table: (
         size for size, mult in table.items() if mult >= modulus
     ))
@@ -130,9 +125,8 @@ def merge_counts(modulus: int, top: int) -> list[int]:
     """Merge steps of a run of m copies of one class-regular part, m = 0..top:
     (m - s(m)) / (modulus - 1), s(m) the base-modulus digit sum of m. Summed
     over its runs, this is a class-regular partition's operation count."""
-    _check_modulus(modulus)
-    if top < 0:
-        raise ValueError(f"run lengths are nonnegative, got top {top}")
+    _check_int(modulus, 2, "modulus", TooSmall)
+    _check_int(top, 0, "longest run length")
     digit_sums = [0] * (top + 1)
     for m in range(1, top + 1):
         digit_sums[m] = digit_sums[m // modulus] + m % modulus
@@ -147,7 +141,7 @@ def glaisher_inverse(partition: Partition, modulus: int) -> GlaisherTrace:
     first. The end partition is the unique class-regular partition whose
     forward merge gives the input back, with the same number of steps.
     """
-    _check_modulus(modulus)
+    _check_int(modulus, 2, "modulus", TooSmall)
     if any(mult >= modulus for _, mult in partition.runs):
         raise NotRegular(
             f"some part occurs {modulus} or more times, cannot invert"
@@ -164,12 +158,11 @@ def factor_out(value: int, bases) -> tuple[int, int]:
     the bases; the cofactor is value divided by the block, so no base
     divides the cofactor. With no bases the block is 1.
     """
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"can only factor positive integers, got {value!r}")
+    _check_int(value, 1, "value to factor")
     block = 1
     cofactor = value
     for base in bases:
-        _check_modulus(base)
+        _check_int(base, 2, "modulus", TooSmall)
         while cofactor % base == 0:
             cofactor //= base
             block *= base
@@ -270,8 +263,7 @@ class PreimageCensus:
         moduli = validate_tuple(moduli)
         if not 1 <= residue <= moduli.head - 1:
             raise InvalidTriple(f"residue {residue} not in 1..{moduli.head - 1}")
-        if n < 0:
-            raise ValueError(f"partition sizes are nonnegative, got {n}")
+        _check_int(n, 0, "partition size")
         self.n = n
         self._table = table = _image_census(moduli, residue, n)
         self.triples = sum(map(len, table.values()))
@@ -311,6 +303,7 @@ def insertion_preimages(
     (moduli, residue, n) builds its census, which checks the counting
     identity on every target of size n and may raise PreimageCountMismatch."""
     moduli = validate_tuple(moduli)
+    _check_int(n, 0, "partition size")  # before the lookup: True would find n = 1
     key = (moduli.moduli, residue, n)
     census = _censuses.get(key)
     if census is not None:

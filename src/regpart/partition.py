@@ -11,6 +11,15 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Mapping
 
+_BOUNDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def _check_int(value, low, what: str, error=ValueError) -> None:
+    # The one integer rule of the package: value must be an int, not a bool,
+    # and at least low (no bound when low is None). Raises error naming what.
+    if not isinstance(value, int) or isinstance(value, bool) or (low is not None and value < low):
+        raise error(f"{what} {value!r} is not {_BOUNDS.get(low, f'an integer >= {low}')}")
+
 
 class Partition:
     """An integer partition of a nonnegative number.
@@ -27,8 +36,7 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         counts: Counter[int] = Counter()
         for part in parts:
-            if not isinstance(part, int) or isinstance(part, bool) or part < 1:
-                raise ValueError(f"parts must be positive integers, got {part!r}")
+            _check_int(part, 1, "part")
             counts[part] += 1
         self._runs = tuple(sorted(counts.items(), reverse=True))
 
@@ -37,10 +45,8 @@ class Partition:
         """Build from a ``{part: multiplicity}`` table; zero entries are dropped."""
         runs = []
         for part, mult in table.items():
-            if not isinstance(part, int) or isinstance(part, bool) or part < 1:
-                raise ValueError(f"part sizes must be positive integers, got {part!r}")
-            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
-                raise ValueError(f"multiplicities must be nonnegative integers, got {mult!r}")
+            _check_int(part, 1, "part size")
+            _check_int(mult, 0, "multiplicity")
             if mult:
                 runs.append((part, mult))
         runs.sort(reverse=True)

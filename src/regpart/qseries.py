@@ -17,6 +17,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .classes import ALL, INFERIOR_REGULAR, ModulusTuple, PartitionClass, validate_tuple
+from .partition import _check_int
 
 
 class NonInvertible(ValueError):
@@ -38,16 +39,17 @@ class TruncatedSeries:
         if not values:
             raise ValueError("need at least the constant coefficient")
         for c in values:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError(f"coefficients must be integers, got {c!r}")
+            _check_int(c, None, "coefficient")
         self._coeffs = values
 
     @classmethod
     def zero(cls, truncation: int) -> TruncatedSeries:
+        _check_int(truncation, 0, "truncation")
         return cls([0] * (truncation + 1))
 
     @classmethod
     def one(cls, truncation: int) -> TruncatedSeries:
+        _check_int(truncation, 0, "truncation")
         return cls([1] + [0] * truncation)
 
     @property
@@ -134,9 +136,8 @@ def euler_product(step: int, truncation: int) -> TruncatedSeries:
     Factors whose degree exceeds the truncation contribute nothing, so the
     product is finite.
     """
-    if not isinstance(step, int) or isinstance(step, bool) or step < 1:
-        raise ValueError(f"step must be a positive integer, got {step!r}")
-    _check_truncation(truncation)
+    _check_int(step, 1, "step")
+    _check_int(truncation, 0, "truncation")
     coeffs = [0] * (truncation + 1)
     coeffs[0] = 1
     for k in range(1, truncation // step + 1):
@@ -148,9 +149,8 @@ def euler_product(step: int, truncation: int) -> TruncatedSeries:
 
 def geometric_tail(base: int, truncation: int) -> TruncatedSeries:
     """q^base / (1 - q^base): one for every positive multiple of the base."""
-    if not isinstance(base, int) or isinstance(base, bool) or base < 1:
-        raise ValueError(f"base must be a positive integer, got {base!r}")
-    _check_truncation(truncation)
+    _check_int(base, 1, "base")
+    _check_int(truncation, 0, "truncation")
     coeffs = [0] * (truncation + 1)
     for d in range(base, truncation + 1, base):
         coeffs[d] = 1
@@ -168,11 +168,6 @@ def _factor_product(coeffs: list[int], forbidden: tuple[int, ...]) -> list[int]:
     return coeffs
 
 
-def _check_truncation(truncation: int) -> None:
-    if truncation < 0:
-        raise ValueError(f"truncation must be nonnegative, got {truncation}")
-
-
 def gf_class(family: PartitionClass, truncation: int) -> TruncatedSeries:
     """Generating function of the family, truncated.
 
@@ -183,7 +178,7 @@ def gf_class(family: PartitionClass, truncation: int) -> TruncatedSeries:
     equal the total number of merge operations over the class-regular
     family at each size.
     """
-    _check_truncation(truncation)
+    _check_int(truncation, 0, "truncation")
     if family.kind == INFERIOR_REGULAR:
         return gf_tuple_inferior(family.moduli, truncation)
     forbidden = () if family.kind == ALL else tuple(family.moduli)
@@ -198,7 +193,7 @@ def gf_tuple_inferior(moduli: ModulusTuple | int, truncation: int) -> TruncatedS
     q^(head * k) / (1 - q^(head * k)) over the k that no non-leading modulus
     divides: its coefficient at d counts those k with head * k dividing d.
     """
-    _check_truncation(truncation)
+    _check_int(truncation, 0, "truncation")
     moduli = validate_tuple(moduli)
     tail = [0] * (truncation + 1)
     for k in range(1, truncation // moduli.head + 1):

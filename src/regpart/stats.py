@@ -28,7 +28,7 @@ from .classes import (
     validate_tuple,
 )
 from .glaisher import merge_counts
-from .partition import Partition
+from .partition import Partition, _check_int
 from .qseries import SeriesCheck, TruncatedSeries, gf_class
 
 
@@ -72,6 +72,7 @@ class XYCReport:
 def _class_regular_fold(moduli: ModulusTuple, n: int) -> tuple[list[int], int]:
     # One pass over the class-regular family at n: X_j at index j (index 0
     # stays 0) and the merge-operation total.
+    _check_int(n, 0, "partition size")  # before merge_counts can blame a run length
     head = moduli.head
     merges = merge_counts(head, n)
     x_totals = [0] * head

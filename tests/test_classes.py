@@ -88,7 +88,7 @@ class TestPartitionClass:
     def test_raw_moduli_are_validated(self):
         with pytest.raises(NotCoprime):
             PartitionClass("regular", (2, 4))
-        for scalar in (True, 2.5, None):
+        for scalar in (True, 2.5, None, b"3", bytearray(b"\x03")):
             with pytest.raises(TooSmall):
                 validate_tuple(scalar)
         assert PartitionClass("regular", 3) == PartitionClass.regular(3)

@@ -19,9 +19,10 @@ from regpart import (
 )
 from regpart import cli
 from regpart.cli import (
+    MAX_PLAIN_N,
+    MAX_PLAIN_TRUNC,
     UsageError,
-    _guard_n,
-    _guard_trunc,
+    _guard,
     checks_exit_code,
     main,
     xyc_exit_code,
@@ -546,16 +547,16 @@ class TestExitCodeReducers:
 
 class TestGuards:
     def test_guard_n(self):
-        _guard_n([200], False)
-        _guard_n([500], True)
+        _guard("n=", 200, MAX_PLAIN_N, False)
+        _guard("n=", 500, MAX_PLAIN_N, True)
         with pytest.raises(UsageError):
-            _guard_n([201], False)
+            _guard("n=", 201, MAX_PLAIN_N, False)
 
     def test_guard_trunc(self):
-        _guard_trunc(500, False)
-        _guard_trunc(501, True)
+        _guard("truncation ", 500, MAX_PLAIN_TRUNC, False)
+        _guard("truncation ", 501, MAX_PLAIN_TRUNC, True)
         with pytest.raises(UsageError):
-            _guard_trunc(501, False)
+            _guard("truncation ", 501, MAX_PLAIN_TRUNC, False)
 
 
 class TestErrorMapping:

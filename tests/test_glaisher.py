@@ -571,6 +571,9 @@ class TestCensusCache:
                 PreimageCensus(mt, residue, 4)
         with pytest.raises(ValueError, match="nonnegative"):
             insertion_preimages(mt, 1, -1, Partition())
+        insertion_preimages(mt, 1, 1, Partition([1]))
+        with pytest.raises(ValueError, match="nonnegative"):  # True == 1 keys the census above
+            insertion_preimages(mt, 1, True, Partition([1]))
         with pytest.raises(ValueError, match="nonnegative"):
             PreimageCensus(mt, 1, -1)
         with pytest.raises(ValueError, match="expected 7"):

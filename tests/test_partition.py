@@ -2,7 +2,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regpart import Partition
+from regpart import (
+    Partition,
+    PartitionClass,
+    PreimageCensus,
+    TruncatedSeries,
+    aggregate,
+    count_class,
+    enumerate_class,
+    enumerate_runs,
+    euler_product,
+    geometric_tail,
+    gf_class,
+    gf_tuple_inferior,
+    insertion_preimages,
+    verify_length_identity,
+    verify_series_vs_enumeration,
+    verify_xyc,
+)
+from regpart.glaisher import merge_counts
 
 parts_lists = st.lists(st.integers(min_value=1, max_value=12), max_size=12)
 
@@ -102,3 +120,34 @@ def test_views_agree(parts):
         assert mult == p.multiplicity(part)
         rebuilt.extend([part] * mult)
     assert tuple(rebuilt) == p.parts
+
+
+# every public entry point that takes a size or a truncation, as a call of
+# that one integer; generators are drained so that their check runs
+SIZE_ENTRY_POINTS = {
+    "enumerate_class": lambda n: list(enumerate_class(PartitionClass.all_partitions(), n)),
+    "enumerate_runs": lambda n: list(enumerate_runs(PartitionClass.regular(3), n)),
+    "count_class": lambda n: count_class(PartitionClass.inferior_regular(3), n),
+    "aggregate": lambda n: aggregate(3, n),
+    "verify_xyc": lambda n: verify_xyc(3, n),
+    "verify_length_identity": lambda n: verify_length_identity(3, n),
+    "PreimageCensus": lambda n: PreimageCensus(3, 1, n),
+    "insertion_preimages": lambda n: insertion_preimages(3, 1, n, Partition()),
+    "gf_class": lambda n: gf_class(PartitionClass.class_regular(3), n),
+    "gf_tuple_inferior": lambda n: gf_tuple_inferior(3, n),
+    "euler_product": lambda n: euler_product(1, n),
+    "geometric_tail": lambda n: geometric_tail(2, n),
+    "verify_series_vs_enumeration": lambda n: verify_series_vs_enumeration(
+        PartitionClass.all_partitions(), n
+    ),
+    "merge_counts": lambda n: merge_counts(3, n),
+    "TruncatedSeries.zero": TruncatedSeries.zero,
+    "TruncatedSeries.one": TruncatedSeries.one,
+}
+
+
+@pytest.mark.parametrize("value", [-1, True, 2.5])
+@pytest.mark.parametrize("entry", sorted(SIZE_ENTRY_POINTS))
+def test_sizes_and_truncations_are_nonnegative_integers(entry, value):
+    with pytest.raises(ValueError, match="nonnegative"):
+        SIZE_ENTRY_POINTS[entry](value)

@@ -205,3 +205,15 @@ def test_series_check_walks_each_family_once_per_degree_it_reads(monkeypatch):
     assert walks[REGULAR] == [0]
     assert walks[CLASS_REGULAR] == list(range(13))
     assert walks[INFERIOR_REGULAR] == list(range(13))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: aggregate(3, -1), lambda: verify_xyc(3, -2), lambda: verify_length_identity(3, -1)],
+    ids=["aggregate", "verify_xyc", "verify_length_identity"],
+)
+def test_negative_size_is_blamed_on_the_size(call):
+    # the size is checked before merge_counts builds its table
+    with pytest.raises(ValueError, match="partition size") as caught:
+        call()
+    assert "run length" not in str(caught.value)
