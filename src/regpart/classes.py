@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .partition import Partition, _check_int
@@ -67,7 +68,7 @@ class ModulusTuple:
         """The moduli after the leading one (possibly empty)."""
         return self.moduli[1:]
 
-    @property
+    @cached_property
     def tail_congruent(self) -> bool:
         """True when every tail modulus is congruent to 1 modulo the head.
 

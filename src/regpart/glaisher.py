@@ -13,12 +13,12 @@ The insertion map extends this to modulus tuples. Given a partition with no
 part divisible by any modulus, it removes some copies of a chosen part,
 merges what remains with respect to the leading modulus, and inserts a new
 run that encodes the removed copies through the factorization of their count
-over the remaining moduli.
+over the remaining moduli. The inverse undoes those steps in closed form for
+one target at a time.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from .classes import (
@@ -29,7 +29,7 @@ from .classes import (
     is_member,
     validate_tuple,
 )
-from .partition import Partition, _check_int
+from .partition import Partition, _check_int, _check_residue
 
 
 class NotRegular(ValueError):
@@ -159,10 +159,16 @@ def factor_out(value: int, bases) -> tuple[int, int]:
     divides the cofactor. With no bases the block is 1.
     """
     _check_int(value, 1, "value to factor")
+    for base in bases:
+        _check_int(base, 2, "modulus", TooSmall)
+    return _factor(value, bases)
+
+
+def _factor(value: int, bases) -> tuple[int, int]:
+    # factor_out on checked input
     block = 1
     cofactor = value
     for base in bases:
-        _check_int(base, 2, "modulus", TooSmall)
         while cofactor % base == 0:
             cofactor //= base
             block *= base
@@ -199,7 +205,7 @@ def _image(runs, moduli: ModulusTuple, part: int, copies: int):
     table = _merge_end(
         ((k, m - copies if k == part else m) for k, m in runs), moduli.head
     )
-    block, cofactor = factor_out(copies, moduli.tail)
+    block, cofactor = _factor(copies, moduli.tail)
     table[cofactor] = table.get(cofactor, 0) + part * block
     return tuple(sorted(table.items(), reverse=True))
 
@@ -219,8 +225,7 @@ def insertion_map(
     """
     moduli = validate_tuple(moduli)
     head = moduli.head
-    if not 1 <= residue <= head - 1:
-        raise InvalidTriple(f"residue {residue} not in 1..{head - 1}")
+    _check_residue(residue, head, "residue", InvalidTriple)
     lam, part, copies = triple.partition, triple.part, triple.copies
     if part % head != residue:
         raise InvalidTriple(f"part {part} is not congruent to {residue} mod {head}")
@@ -261,8 +266,7 @@ class PreimageCensus:
 
     def __init__(self, moduli: ModulusTuple | int, residue: int, n: int):
         moduli = validate_tuple(moduli)
-        if not 1 <= residue <= moduli.head - 1:
-            raise InvalidTriple(f"residue {residue} not in 1..{moduli.head - 1}")
+        _check_residue(residue, moduli.head, "residue", InvalidTriple)
         _check_int(n, 0, "partition size")
         self.n = n
         self._table = table = _image_census(moduli, residue, n)
@@ -289,30 +293,80 @@ class PreimageCensus:
         return found or frozenset()
 
 
-# insertion_preimages' censuses, least recently used first. Together they hold
-# at most the budget in triples; a larger census is returned but not kept.
-_CENSUS_BUDGET = 50_000
-_censuses: OrderedDict[tuple, PreimageCensus] = OrderedDict()
+def _undo_insertion(runs, moduli: ModulusTuple, residue: int) -> frozenset[BijectionTriple]:
+    # _image backwards. An image is a merge end, every multiplicity below the
+    # head, plus one run c^a with a = part * block and no tail modulus dividing
+    # c. So no tail modulus divides a part of it, and it has at most one heavy
+    # run, which is then the inserted one.
+    head, tail = moduli.head, moduli.tail
+    heavy = ()
+    for size, mult in runs:
+        for t in tail:
+            if size % t == 0:
+                return frozenset()
+        if mult >= head:
+            if heavy:
+                return frozenset()
+            heavy = ((size, mult),)
+    # the merge end split back: (k * head^e)^d becomes k^(d * head^e)
+    rest = {}
+    for k, d in runs:
+        while k % head == 0:
+            k, d = k // head, d * head
+        rest[k] = rest.get(k, 0) + d
+    found = set()
+    for c, m in heavy or runs:
+        k, e = c, 1
+        while k % head == 0:
+            k, e = k // head, e * head
+        for a in range(max(1, m - head + 1), m + 1):
+            block, part = _factor(a, tail)
+            if part % head != residue:
+                continue
+            table = dict(rest)  # with c^m cut to c^(m - a)
+            left = table.pop(k) - a * e
+            if left:
+                table[k] = left
+            table[part] = table.get(part, 0) + c * block
+            lam = Partition._from_runs(tuple(sorted(table.items(), reverse=True)))
+            found.add(BijectionTriple(lam, part, c * block))
+    return frozenset(found)
+
+
+def _identity_count(runs, moduli: ModulusTuple, residue: int) -> int:
+    # The preimage count the counting identity gives, read from the family
+    # definitions alone: the sizes of multiplicity at least the residue on a
+    # regular target, 1 on an inferior-regular one, 0 on any other.
+    head, tail = moduli.head, moduli.tail
+    heavy = repeated = 0
+    for size, mult in runs:
+        for t in tail:
+            if size % t == 0:
+                return 0
+        heavy += mult >= head
+        repeated += mult >= residue
+    return int(heavy == 1) if heavy else repeated
 
 
 def insertion_preimages(
     moduli: ModulusTuple | int, residue: int, n: int, target: Partition
 ) -> frozenset[BijectionTriple]:
     """All marked partitions of total size n that the insertion map sends to
-    the target, answered from a cached PreimageCensus. The first query of a
-    (moduli, residue, n) builds its census, which checks the counting
-    identity on every target of size n and may raise PreimageCountMismatch."""
+    the target, found by undoing the map on the target alone. When every tail
+    modulus is congruent to 1 modulo the head, the count is checked against
+    the counting identity (the repeated-size count on a regular target, 1 on
+    an inferior-regular one, 0 elsewhere) and PreimageCountMismatch is raised
+    where it fails."""
     moduli = validate_tuple(moduli)
-    _check_int(n, 0, "partition size")  # before the lookup: True would find n = 1
-    key = (moduli.moduli, residue, n)
-    census = _censuses.get(key)
-    if census is not None:
-        _censuses.move_to_end(key)
-        return census.preimages(target)
-    census = PreimageCensus(moduli, residue, n)
-    if census.triples <= _CENSUS_BUDGET:
-        held = census.triples + sum(c.triples for c in _censuses.values())
-        while held > _CENSUS_BUDGET:
-            held -= _censuses.popitem(last=False)[1].triples
-        _censuses[key] = census
-    return census.preimages(target)
+    _check_residue(residue, moduli.head, "residue", InvalidTriple)
+    _check_int(n, 0, "partition size")
+    if target.size != n:
+        raise ValueError(f"target has size {target.size}, expected {n}")
+    found = _undo_insertion(target.runs, moduli, residue)
+    want = _identity_count(target.runs, moduli, residue) if moduli.tail_congruent else len(found)
+    if len(found) != want:
+        raise PreimageCountMismatch(
+            f"preimage count {len(found)} disagrees with the counting identity "
+            f"value {want} for {target}"
+        )
+    return found

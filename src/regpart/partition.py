@@ -21,6 +21,14 @@ def _check_int(value, low, what: str, error=ValueError) -> None:
         raise error(f"{what} {value!r} is not {_BOUNDS.get(low, f'an integer >= {low}')}")
 
 
+def _check_residue(value, modulus: int, what: str, error=ValueError) -> None:
+    # The one residue rule: a residue or threshold is an integer in
+    # 1..modulus - 1, checked by the integer rule first.
+    _check_int(value, 1, what, error)
+    if value > modulus - 1:
+        raise error(f"{what} {value} not in 1..{modulus - 1}")
+
+
 class Partition:
     """An integer partition of a nonnegative number.
 

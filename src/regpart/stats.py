@@ -28,14 +28,13 @@ from .classes import (
     validate_tuple,
 )
 from .glaisher import merge_counts
-from .partition import Partition, _check_int
+from .partition import Partition, _check_int, _check_residue
 from .qseries import SeriesCheck, TruncatedSeries, gf_class
 
 
 def count_congruent_parts(partition: Partition, modulus: int, residue: int) -> int:
     """Parts congruent to the residue modulo the modulus, with multiplicity."""
-    if not 1 <= residue <= modulus - 1:
-        raise ValueError(f"residue {residue} not in 1..{modulus - 1}")
+    _check_residue(residue, modulus, "residue")
     return sum(mult for part, mult in partition.runs if part % modulus == residue)
 
 
@@ -45,8 +44,7 @@ def count_repeated_sizes(partition: Partition, modulus: int, threshold: int) -> 
     The modulus only bounds the admissible thresholds (1 up to modulus - 1),
     matching the residues used on the class-regular side.
     """
-    if not 1 <= threshold <= modulus - 1:
-        raise ValueError(f"threshold {threshold} not in 1..{modulus - 1}")
+    _check_residue(threshold, modulus, "threshold")
     return sum(1 for _, mult in partition.runs if mult >= threshold)
 
 

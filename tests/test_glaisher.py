@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-from collections import OrderedDict
 
 import pytest
 from hypothesis import given
@@ -393,6 +392,39 @@ class TestInsertionPreimages:
             else:
                 assert got == 0
 
+    def test_single_part_at_a_size_no_census_reaches(self):
+        found = insertion_preimages(3, 1, 200, Partition([1] * 200))
+        assert found == {BijectionTriple(Partition([199, 1]), 199, 1)}
+
+    @pytest.mark.parametrize("raw", [3, (2, 3), (3, 7)])
+    def test_sampled_targets_up_to_sixty(self, raw):
+        # seeded targets of two kinds: images of random marked class-regular
+        # partitions, and random partitions, mostly outside the image. The
+        # count is predicted from membership and the repeated-size statistic.
+        mt = validate_tuple(raw)
+        regular, inferior = PartitionClass.regular(mt), PartitionClass.inferior_regular(mt)
+        rng = random.Random(20261018)
+        for _ in range(150):
+            n = rng.randint(1, 60)
+            j = rng.randint(1, mt.head - 1)
+            parts = _random_parts(rng, n, mt.moduli)
+            if any(part % mt.head == j for part in parts):
+                part = rng.choice([p for p in parts if p % mt.head == j])
+                marked = BijectionTriple(Partition(parts), part, rng.randint(1, parts.count(part)))
+                targets = [insertion_map(mt, j, marked), Partition(_random_parts(rng, n, ()))]
+            else:
+                marked, targets = None, [Partition(_random_parts(rng, n, ()))]
+            for mu in targets:
+                found = insertion_preimages(mt, j, n, mu)
+                for triple in found:
+                    assert insertion_map(mt, j, triple) == mu
+                if is_member(mu, regular):
+                    assert len(found) == count_repeated_sizes(mu, mt.head, j)
+                else:
+                    assert len(found) == int(is_member(mu, inferior))
+            if marked is not None:
+                assert marked in insertion_preimages(mt, j, n, targets[0])
+
     def test_preimages_are_valid_and_map_back(self):
         mt = validate_tuple((3, 4))
         for mu in enumerate_class(PartitionClass.all_partitions(), 8):
@@ -402,10 +434,22 @@ class TestInsertionPreimages:
                 assert 1 <= triple.copies <= triple.partition.multiplicity(triple.part)
 
 
-_WRONG_CENSUS = """
+def _random_parts(rng, n, moduli):
+    # a seeded random partition of n with no part divisible by a modulus;
+    # the part bound is redrawn at each step so that runs repeat
+    parts = []
+    while n:
+        part = rng.randint(1, max(1, n // rng.randint(1, 8)))
+        if all(part % r for r in moduli):
+            parts.append(part)
+            n -= part
+    return parts
+
+
+_WRONG_INVERSE = """
 import sys
 from regpart import Partition, PreimageCountMismatch, glaisher, validate_tuple
-glaisher._image_census = lambda moduli, residue, n: {}
+glaisher._undo_insertion = lambda runs, moduli, residue: frozenset()
 try:
     glaisher.insertion_preimages(validate_tuple(3), 1, 7, Partition([7]))
 except PreimageCountMismatch:
@@ -415,12 +459,9 @@ except PreimageCountMismatch:
 
 class TestPreimageCountCheck:
     def test_wrong_census_raises(self, monkeypatch):
-        # the single-part target has exactly one preimage; an empty census
-        # breaks the counting identity
-        monkeypatch.setattr(glaisher, "_image_census", lambda moduli, residue, n: {})
-        # a fresh cache, so a census of (3, 1, 7) kept by an earlier test is
-        # not reused
-        monkeypatch.setattr(glaisher, "_censuses", OrderedDict())
+        # the single-part target has exactly one preimage; an inverse that
+        # finds none breaks the counting identity
+        monkeypatch.setattr(glaisher, "_undo_insertion", lambda runs, moduli, residue: frozenset())
         with pytest.raises(PreimageCountMismatch):
             insertion_preimages(validate_tuple(3), 1, 7, Partition([7]))
 
@@ -432,24 +473,10 @@ class TestPreimageCountCheck:
         src = os.path.dirname(os.path.dirname(glaisher.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         result = subprocess.run(
-            [sys.executable, "-O", "-c", _WRONG_CENSUS],
+            [sys.executable, "-O", "-c", _WRONG_INVERSE],
             env=env, capture_output=True, text=True, timeout=60, check=True,
         )
         assert result.stdout.split() == ["optimize", "1", "raised"]
-
-
-def _count_builds(monkeypatch):
-    # wrap the census builder so every build is counted by its key
-    builds = {}
-    build = glaisher._image_census
-
-    def counted(moduli, residue, n):
-        key = (moduli.moduli, residue, n)
-        builds[key] = builds.get(key, 0) + 1
-        return build(moduli, residue, n)
-
-    monkeypatch.setattr(glaisher, "_image_census", counted)
-    return builds
 
 
 def _queries(raws, top):
@@ -509,59 +536,17 @@ class TestWholeCensusCheck:
         with pytest.raises(PreimageCountMismatch):
             PreimageCensus((3, 4), 1, 7)
 
-    @pytest.mark.parametrize("raw", [3, (2, 3), (3, 4), (3, 5)])
+    @pytest.mark.parametrize("raw", [3, (2, 3), (3, 4), (3, 5), (5, 3), (4, 5), (2, 3, 5)])
     def test_agrees_with_insertion_preimages(self, raw):
+        # the closed-form inverse against the exhaustive census, on every target
         censuses = {}
-        for mt, j, n, mu in _queries([raw], 10):
-            census = censuses.setdefault((j, n), PreimageCensus(mt, j, n))
-            assert census.preimages(mu) == insertion_preimages(mt, j, n, mu)
+        for mt, j, n, mu in _queries([raw], 16):
+            if (j, n) not in censuses:
+                censuses[j, n] = PreimageCensus(mt, j, n)
+            assert censuses[j, n].preimages(mu) == insertion_preimages(mt, j, n, mu)
 
 
 class TestCensusCache:
-    def test_small_budget_stays_correct_and_bounded(self, monkeypatch):
-        queries = _queries([3, (2, 3)], 12)
-        random.Random(20261018).shuffle(queries)
-        reference = {}
-        for mt, j, n, _ in queries:
-            if (mt.moduli, j, n) not in reference:
-                reference[mt.moduli, j, n] = PreimageCensus(mt, j, n)
-        budget = 40
-        monkeypatch.setattr(glaisher, "_CENSUS_BUDGET", budget)
-        monkeypatch.setattr(glaisher, "_censuses", OrderedDict())
-        builds = _count_builds(monkeypatch)
-        for mt, j, n, mu in queries:
-            expected = reference[mt.moduli, j, n].preimages(mu)
-            assert insertion_preimages(mt, j, n, mu) == expected
-            assert sum(c.triples for c in glaisher._censuses.values()) <= budget
-        # the budget forced evictions, so some keys were built again
-        assert sum(builds.values()) > len(reference)
-
-    def test_census_larger_than_the_budget_is_returned_but_not_kept(self, monkeypatch):
-        monkeypatch.setattr(glaisher, "_CENSUS_BUDGET", 40)
-        monkeypatch.setattr(glaisher, "_censuses", OrderedDict())
-        mt = validate_tuple(3)
-        insertion_preimages(mt, 1, 5, Partition([5]))
-        kept = dict(glaisher._censuses)
-        assert len(kept) == 1
-        big = PreimageCensus(mt, 1, 12)
-        assert big.triples > 40
-        for mu in enumerate_class(PartitionClass.all_partitions(), 12):
-            assert insertion_preimages(mt, 1, 12, mu) == big.preimages(mu)
-        # nothing was evicted to make room for it, and it was not kept
-        assert dict(glaisher._censuses) == kept
-
-    def test_benchmark_working_set_stays_resident(self, monkeypatch):
-        # every query of the preimage-census benchmark workload, shuffled:
-        # 110 (moduli, residue, n) keys, each built exactly once
-        queries = _queries([(2, 3), (3, 4), (3, 7)], 21)
-        random.Random(20261018).shuffle(queries)
-        monkeypatch.setattr(glaisher, "_censuses", OrderedDict())
-        builds = _count_builds(monkeypatch)
-        for mt, j, n, mu in queries:
-            insertion_preimages(mt, j, n, mu)
-        assert len(builds) == 110
-        assert set(builds.values()) == {1}
-
     def test_rejects_bad_residue_and_size(self):
         mt = validate_tuple(3)
         for residue in (0, mt.head):
@@ -572,7 +557,7 @@ class TestCensusCache:
         with pytest.raises(ValueError, match="nonnegative"):
             insertion_preimages(mt, 1, -1, Partition())
         insertion_preimages(mt, 1, 1, Partition([1]))
-        with pytest.raises(ValueError, match="nonnegative"):  # True == 1 keys the census above
+        with pytest.raises(ValueError, match="nonnegative"):  # True == 1, but not an int
             insertion_preimages(mt, 1, True, Partition([1]))
         with pytest.raises(ValueError, match="nonnegative"):
             PreimageCensus(mt, 1, -1)

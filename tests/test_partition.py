@@ -3,18 +3,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from regpart import (
+    BijectionTriple,
+    InvalidTriple,
     Partition,
     PartitionClass,
     PreimageCensus,
     TruncatedSeries,
     aggregate,
     count_class,
+    count_congruent_parts,
+    count_repeated_sizes,
     enumerate_class,
     enumerate_runs,
     euler_product,
     geometric_tail,
     gf_class,
     gf_tuple_inferior,
+    insertion_map,
     insertion_preimages,
     verify_length_identity,
     verify_series_vs_enumeration,
@@ -151,3 +156,24 @@ SIZE_ENTRY_POINTS = {
 def test_sizes_and_truncations_are_nonnegative_integers(entry, value):
     with pytest.raises(ValueError, match="nonnegative"):
         SIZE_ENTRY_POINTS[entry](value)
+
+
+# every public entry point that takes a residue or a threshold, with the
+# exception its module raises, as a call of that one value
+RESIDUE_ENTRY_POINTS = {
+    "insertion_map": (InvalidTriple, lambda j: insertion_map(
+        3, j, BijectionTriple(Partition([1]), 1, 1)
+    )),
+    "PreimageCensus": (InvalidTriple, lambda j: PreimageCensus(3, j, 1)),
+    "insertion_preimages": (InvalidTriple, lambda j: insertion_preimages(3, j, 1, Partition([1]))),
+    "count_congruent_parts": (ValueError, lambda j: count_congruent_parts(Partition([4, 1]), 3, j)),
+    "count_repeated_sizes": (ValueError, lambda j: count_repeated_sizes(Partition([1]), 3, j)),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+@pytest.mark.parametrize("entry", sorted(RESIDUE_ENTRY_POINTS))
+def test_residues_and_thresholds_are_integers(entry, value):
+    error, call = RESIDUE_ENTRY_POINTS[entry]
+    with pytest.raises(error, match="is not a positive integer"):
+        call(value)
