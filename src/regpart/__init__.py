@@ -1,105 +1,15 @@
 """Restricted partition families, the merge correspondence between them,
 part statistics, and exact generating function checks."""
 
-from .classes import (
-    ALL,
-    CLASS_REGULAR,
-    INFERIOR_REGULAR,
-    REGULAR,
-    EmptyTuple,
-    ModulusTuple,
-    NotCoprime,
-    PartitionClass,
-    TooSmall,
-    count_class,
-    enumerate_class,
-    enumerate_runs,
-    is_member,
-    validate_tuple,
-)
-from .glaisher import (
-    MERGE,
-    SPLIT,
-    BijectionTriple,
-    GlaisherTrace,
-    InvalidTriple,
-    NotRegular,
-    PreimageCensus,
-    PreimageCountMismatch,
-    factor_out,
-    glaisher_forward,
-    glaisher_inverse,
-    insertion_map,
-    insertion_preimages,
-)
-from .partition import Partition
-from .qseries import (
-    NonInvertible,
-    SeriesCheck,
-    TruncatedSeries,
-    euler_product,
-    geometric_tail,
-    gf_class,
-    gf_tuple_inferior,
-)
-from .stats import (
-    LengthCheck,
-    XYCReport,
-    XYCRow,
-    aggregate,
-    count_congruent_parts,
-    count_repeated_sizes,
-    verify_length_identity,
-    verify_series_vs_enumeration,
-    verify_xyc,
-)
+from .classes import *
+from .glaisher import *
+from .partition import *
+from .qseries import *
+from .stats import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL",
-    "CLASS_REGULAR",
-    "INFERIOR_REGULAR",
-    "REGULAR",
-    "MERGE",
-    "SPLIT",
-    "BijectionTriple",
-    "EmptyTuple",
-    "GlaisherTrace",
-    "InvalidTriple",
-    "LengthCheck",
-    "ModulusTuple",
-    "NonInvertible",
-    "NotCoprime",
-    "NotRegular",
-    "Partition",
-    "PartitionClass",
-    "PreimageCensus",
-    "PreimageCountMismatch",
-    "SeriesCheck",
-    "TooSmall",
-    "TruncatedSeries",
-    "XYCReport",
-    "XYCRow",
-    "aggregate",
-    "count_class",
-    "count_congruent_parts",
-    "count_repeated_sizes",
-    "enumerate_class",
-    "enumerate_runs",
-    "euler_product",
-    "factor_out",
-    "geometric_tail",
-    "gf_class",
-    "gf_tuple_inferior",
-    "glaisher_forward",
-    "glaisher_inverse",
-    "insertion_map",
-    "insertion_preimages",
-    "is_member",
-    "validate_tuple",
-    "verify_length_identity",
-    "verify_series_vs_enumeration",
-    "verify_xyc",
-    "__version__",
-]
+__all__ = (
+    classes.__all__ + glaisher.__all__ + partition.__all__ + qseries.__all__ + stats.__all__
+    + ["__version__"]
+)

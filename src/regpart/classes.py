@@ -23,6 +23,12 @@ from math import gcd
 
 from .partition import Partition, _check_int
 
+__all__ = [
+    "ALL", "CLASS_REGULAR", "INFERIOR_REGULAR", "REGULAR", "EmptyTuple", "ModulusTuple",
+    "NotCoprime", "PartitionClass", "TooSmall", "count_class", "enumerate_class",
+    "enumerate_runs", "is_member", "validate_tuple",
+]
+
 
 class EmptyTuple(ValueError):
     """A modulus tuple needs at least one entry."""

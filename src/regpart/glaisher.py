@@ -31,6 +31,12 @@ from .classes import (
 )
 from .partition import Partition, _check_int, _check_residue
 
+__all__ = [
+    "MERGE", "SPLIT", "BijectionTriple", "GlaisherTrace", "InvalidTriple", "NotRegular",
+    "PreimageCensus", "PreimageCountMismatch", "factor_out", "glaisher_forward",
+    "glaisher_inverse", "insertion_map", "insertion_preimages",
+]
+
 
 class NotRegular(ValueError):
     """The inverse direction needs every multiplicity below the modulus."""
@@ -41,7 +47,7 @@ class InvalidTriple(ValueError):
 
 
 class PreimageCountMismatch(RuntimeError):
-    """A preimage census broke the counting identity: an internal fault,
+    """A preimage count broke the counting identity: an internal fault,
     never a problem with the input."""
 
 
@@ -238,7 +244,8 @@ def insertion_map(
 
 
 def _image_census(moduli: ModulusTuple, residue: int, n: int):
-    # {image run tuple: frozenset of its marked preimages}, uncached
+    # {image run tuple: frozenset of its marked preimages}, from every marked
+    # class-regular partition of size n
     table: dict[tuple, list[BijectionTriple]] = {}
     head = moduli.head
     for runs in enumerate_runs(PartitionClass.class_regular(moduli), n):
@@ -252,17 +259,39 @@ def _image_census(moduli: ModulusTuple, residue: int, n: int):
     return {image: frozenset(t) for image, t in table.items()}
 
 
+def _identity_count(runs, moduli: ModulusTuple, residue: int) -> int:
+    # The preimage count the counting identity gives, read from the family
+    # definitions alone: the sizes of multiplicity at least the residue on a
+    # regular target, 1 on an inferior-regular one, 0 on any other.
+    head, tail = moduli.head, moduli.tail
+    heavy = repeated = 0
+    for size, mult in runs:
+        for t in tail:
+            if size % t == 0:
+                return 0
+        heavy += mult >= head
+        repeated += mult >= residue
+    return int(heavy == 1) if heavy else repeated
+
+
+def _check_count(found: int, want: int, runs) -> None:
+    if found != want:
+        raise PreimageCountMismatch(
+            f"preimage count {found} disagrees with the counting identity "
+            f"value {want} for {Partition._from_runs(runs)}"
+        )
+
+
 class PreimageCensus:
     """The marked partitions of total size n that the insertion map sends to
     each target, for one modulus tuple and residue, built once.
 
     When every tail modulus is congruent to 1 modulo the head, the build
-    checks the counting identity on every target of size n and raises
-    PreimageCountMismatch where it fails: a regular target has as many
-    preimages as sizes of multiplicity at least the residue, an
-    inferior-regular one exactly 1, any other partition none."""
+    checks every target of size n against the counting identity, by the rule
+    insertion_preimages checks each query with, and raises
+    PreimageCountMismatch where it fails."""
 
-    __slots__ = ("n", "triples", "_table")
+    __slots__ = ("n", "_table")
 
     def __init__(self, moduli: ModulusTuple | int, residue: int, n: int):
         moduli = validate_tuple(moduli)
@@ -270,20 +299,13 @@ class PreimageCensus:
         _check_int(n, 0, "partition size")
         self.n = n
         self._table = table = _image_census(moduli, residue, n)
-        self.triples = sum(map(len, table.values()))
         if not moduli.tail_congruent:
             return
-        inferior = PartitionClass.inferior_regular(moduli)
-        expected = dict.fromkeys(enumerate_runs(inferior, n), 1)
-        for runs in enumerate_runs(PartitionClass.regular(moduli), n):
-            expected[runs] = sum(1 for _, mult in runs if mult >= residue)
-        for runs in expected.keys() | table.keys():
-            found, want = len(table.get(runs, ())), expected.get(runs, 0)
-            if found != want:
-                raise PreimageCountMismatch(
-                    f"preimage count {found} disagrees with the counting identity "
-                    f"value {want} for {Partition._from_runs(runs)}"
-                )
+        targets = set(table)
+        for family in (PartitionClass.regular(moduli), PartitionClass.inferior_regular(moduli)):
+            targets.update(enumerate_runs(family, n))
+        for runs in targets:
+            _check_count(len(table.get(runs, ())), _identity_count(runs, moduli, residue), runs)
 
     def preimages(self, target: Partition) -> frozenset[BijectionTriple]:
         """The census entry of the target (ValueError unless its size is n)."""
@@ -309,16 +331,16 @@ def _undo_insertion(runs, moduli: ModulusTuple, residue: int) -> frozenset[Bijec
                 return frozenset()
             heavy = ((size, mult),)
     # the merge end split back: (k * head^e)^d becomes k^(d * head^e)
-    rest = {}
-    for k, d in runs:
-        while k % head == 0:
-            k, d = k // head, d * head
-        rest[k] = rest.get(k, 0) + d
-    found = set()
-    for c, m in heavy or runs:
+    rest, split = {}, {}
+    for c, d in runs:
         k, e = c, 1
         while k % head == 0:
             k, e = k // head, e * head
+        split[c] = k, e
+        rest[k] = rest.get(k, 0) + d * e
+    found = set()
+    for c, m in heavy or runs:
+        k, e = split[c]
         for a in range(max(1, m - head + 1), m + 1):
             block, part = _factor(a, tail)
             if part % head != residue:
@@ -331,21 +353,6 @@ def _undo_insertion(runs, moduli: ModulusTuple, residue: int) -> frozenset[Bijec
             lam = Partition._from_runs(tuple(sorted(table.items(), reverse=True)))
             found.add(BijectionTriple(lam, part, c * block))
     return frozenset(found)
-
-
-def _identity_count(runs, moduli: ModulusTuple, residue: int) -> int:
-    # The preimage count the counting identity gives, read from the family
-    # definitions alone: the sizes of multiplicity at least the residue on a
-    # regular target, 1 on an inferior-regular one, 0 on any other.
-    head, tail = moduli.head, moduli.tail
-    heavy = repeated = 0
-    for size, mult in runs:
-        for t in tail:
-            if size % t == 0:
-                return 0
-        heavy += mult >= head
-        repeated += mult >= residue
-    return int(heavy == 1) if heavy else repeated
 
 
 def insertion_preimages(
@@ -363,10 +370,6 @@ def insertion_preimages(
     if target.size != n:
         raise ValueError(f"target has size {target.size}, expected {n}")
     found = _undo_insertion(target.runs, moduli, residue)
-    want = _identity_count(target.runs, moduli, residue) if moduli.tail_congruent else len(found)
-    if len(found) != want:
-        raise PreimageCountMismatch(
-            f"preimage count {len(found)} disagrees with the counting identity "
-            f"value {want} for {target}"
-        )
+    if moduli.tail_congruent:
+        _check_count(len(found), _identity_count(target.runs, moduli, residue), target.runs)
     return found

@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Mapping
 
+__all__ = ["Partition"]
+
 _BOUNDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
 
 

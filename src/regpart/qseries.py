@@ -19,6 +19,11 @@ from dataclasses import dataclass
 from .classes import ALL, INFERIOR_REGULAR, ModulusTuple, PartitionClass, validate_tuple
 from .partition import _check_int
 
+__all__ = [
+    "NonInvertible", "SeriesCheck", "TruncatedSeries", "euler_product", "geometric_tail",
+    "gf_class", "gf_tuple_inferior",
+]
+
 
 class NonInvertible(ValueError):
     """Inversion is exact over the integers only for constant term 1 or -1."""
@@ -212,9 +217,9 @@ class SeriesCheck:
     streams are compared: ``operations_mismatch`` is the first degree where
     a coefficient differs from the summed merge-operation counts over the
     class-regular family, and ``regular_counts_differ_at`` is the first
-    degree where the coefficients depart from the regular family's counts.
-    That last one is always 0: the regular family holds the empty partition
-    and the inferior-regular family does not.
+    degree where the family's counts depart from the regular family's. That
+    is 0, read from the family definitions: the regular family holds the
+    empty partition and the inferior-regular family does not.
     """
 
     family: PartitionClass

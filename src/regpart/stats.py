@@ -23,6 +23,7 @@ from .classes import (
     INFERIOR_REGULAR,
     ModulusTuple,
     PartitionClass,
+    TooSmall,
     count_class,
     enumerate_runs,
     validate_tuple,
@@ -31,9 +32,16 @@ from .glaisher import merge_counts
 from .partition import Partition, _check_int, _check_residue
 from .qseries import SeriesCheck, TruncatedSeries, gf_class
 
+__all__ = [
+    "LengthCheck", "XYCReport", "XYCRow", "aggregate", "count_congruent_parts",
+    "count_repeated_sizes", "verify_length_identity", "verify_series_vs_enumeration",
+    "verify_xyc",
+]
+
 
 def count_congruent_parts(partition: Partition, modulus: int, residue: int) -> int:
     """Parts congruent to the residue modulo the modulus, with multiplicity."""
+    _check_int(modulus, 2, "modulus", TooSmall)
     _check_residue(residue, modulus, "residue")
     return sum(mult for part, mult in partition.runs if part % modulus == residue)
 
@@ -44,6 +52,7 @@ def count_repeated_sizes(partition: Partition, modulus: int, threshold: int) -> 
     The modulus only bounds the admissible thresholds (1 up to modulus - 1),
     matching the residues used on the class-regular side.
     """
+    _check_int(modulus, 2, "modulus", TooSmall)
     _check_residue(threshold, modulus, "threshold")
     return sum(1 for _, mult in partition.runs if mult >= threshold)
 
@@ -207,8 +216,7 @@ def verify_series_vs_enumeration(family: PartitionClass, truncation: int) -> Ser
         operations_mismatch = _first_difference(
             series, lambda d: _class_regular_fold(family.moduli, d)[1]
         )
-        regular = PartitionClass.regular(family.moduli)
-        regular_differs = _first_difference(series, lambda d: count_class(regular, d))
+        regular_differs = 0  # the empty partition is regular, never inferior-regular
     return SeriesCheck(
         family=family,
         truncation=truncation,

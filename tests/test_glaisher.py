@@ -458,12 +458,24 @@ except PreimageCountMismatch:
 
 
 class TestPreimageCountCheck:
-    def test_wrong_census_raises(self, monkeypatch):
+    def test_wrong_inverse_raises(self, monkeypatch):
         # the single-part target has exactly one preimage; an inverse that
         # finds none breaks the counting identity
         monkeypatch.setattr(glaisher, "_undo_insertion", lambda runs, moduli, residue: frozenset())
         with pytest.raises(PreimageCountMismatch):
             insertion_preimages(validate_tuple(3), 1, 7, Partition([7]))
+
+    def test_census_and_inverse_share_one_counting_rule(self, monkeypatch):
+        # a rule that predicts no preimage anywhere breaks both the whole
+        # census and a single query, which calls it exactly once
+        calls = []
+        monkeypatch.setattr(glaisher, "_identity_count", lambda *args: calls.append(args) or 0)
+        with pytest.raises(PreimageCountMismatch):
+            PreimageCensus(3, 1, 7)
+        calls.clear()
+        with pytest.raises(PreimageCountMismatch):
+            insertion_preimages(3, 1, 7, Partition([7]))
+        assert len(calls) == 1
 
     def test_mismatch_is_not_a_user_error(self):
         assert issubclass(PreimageCountMismatch, RuntimeError)
@@ -546,7 +558,7 @@ class TestWholeCensusCheck:
             assert censuses[j, n].preimages(mu) == insertion_preimages(mt, j, n, mu)
 
 
-class TestCensusCache:
+class TestInputGuards:
     def test_rejects_bad_residue_and_size(self):
         mt = validate_tuple(3)
         for residue in (0, mt.head):

@@ -17,6 +17,7 @@ from regpart import (
     REGULAR,
     Partition,
     PartitionClass,
+    TooSmall,
     aggregate,
     count_congruent_parts,
     count_repeated_sizes,
@@ -57,6 +58,12 @@ class TestPointStatistics:
             count_repeated_sizes(Partition([1]), 3, 0)
         with pytest.raises(ValueError):
             count_repeated_sizes(Partition([1]), 3, 3)
+
+    @pytest.mark.parametrize("modulus", [2.5, True, 1])
+    @pytest.mark.parametrize("statistic", [count_congruent_parts, count_repeated_sizes])
+    def test_modulus_is_checked_before_the_residue(self, statistic, modulus):
+        with pytest.raises(TooSmall, match="modulus"):
+            statistic(Partition([6, 6, 1]), modulus, 1)
 
     @given(parts_lists, st.integers(min_value=2, max_value=6))
     def test_congruent_parts_partition_the_length(self, parts, modulus):
@@ -202,7 +209,7 @@ def test_series_check_walks_each_family_once_per_degree_it_reads(monkeypatch):
     check = verify_series_vs_enumeration(PartitionClass.inferior_regular(3), 12)
     assert check.ok
     assert check.regular_counts_differ_at == 0
-    assert walks[REGULAR] == [0]
+    assert walks[REGULAR] == []
     assert walks[CLASS_REGULAR] == list(range(13))
     assert walks[INFERIOR_REGULAR] == list(range(13))
 
