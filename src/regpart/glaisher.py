@@ -233,6 +233,8 @@ def insertion_map(
     head = moduli.head
     _check_residue(residue, head, "residue", InvalidTriple)
     lam, part, copies = triple.partition, triple.part, triple.copies
+    _check_int(part, None, "part", InvalidTriple)
+    _check_int(copies, None, "copies", InvalidTriple)
     if part % head != residue:
         raise InvalidTriple(f"part {part} is not congruent to {residue} mod {head}")
     have = lam.multiplicity(part)

@@ -14,14 +14,13 @@ against direct enumeration.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .classes import ALL, INFERIOR_REGULAR, ModulusTuple, PartitionClass, validate_tuple
 from .partition import _check_int
 
 __all__ = [
-    "NonInvertible", "SeriesCheck", "TruncatedSeries", "euler_product", "geometric_tail",
-    "gf_class", "gf_tuple_inferior",
+    "NonInvertible", "TruncatedSeries", "euler_product", "geometric_tail", "gf_class",
+    "gf_tuple_inferior",
 ]
 
 
@@ -206,30 +205,3 @@ def gf_tuple_inferior(moduli: ModulusTuple | int, truncation: int) -> TruncatedS
             for d in range(moduli.head * k, truncation + 1, moduli.head * k):
                 tail[d] += 1
     return TruncatedSeries(_factor_product(tail, tuple(moduli)))
-
-
-@dataclass(frozen=True)
-class SeriesCheck:
-    """Outcome of checking a family's series against direct enumeration.
-
-    ``count_mismatch`` is the first degree where a coefficient fails to
-    count the family, or None. For inferior-regular families two more
-    streams are compared: ``operations_mismatch`` is the first degree where
-    a coefficient differs from the summed merge-operation counts over the
-    class-regular family, and ``regular_counts_differ_at`` is the first
-    degree where the family's counts depart from the regular family's. That
-    is 0, read from the family definitions: the regular family holds the
-    empty partition and the inferior-regular family does not.
-    """
-
-    family: PartitionClass
-    truncation: int
-    series: TruncatedSeries
-    count_mismatch: int | None
-    operations_mismatch: int | None
-    regular_counts_differ_at: int | None
-
-    @property
-    def ok(self) -> bool:
-        return self.count_mismatch is None and self.operations_mismatch is None
-

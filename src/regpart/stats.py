@@ -30,12 +30,12 @@ from .classes import (
 )
 from .glaisher import merge_counts
 from .partition import Partition, _check_int, _check_residue
-from .qseries import SeriesCheck, TruncatedSeries, gf_class
+from .qseries import TruncatedSeries, gf_class
 
 __all__ = [
-    "LengthCheck", "XYCReport", "XYCRow", "aggregate", "count_congruent_parts",
-    "count_repeated_sizes", "verify_length_identity", "verify_series_vs_enumeration",
-    "verify_xyc",
+    "LengthCheck", "SeriesCheck", "XYCReport", "XYCRow", "aggregate",
+    "count_congruent_parts", "count_repeated_sizes", "verify_length_identity",
+    "verify_series_vs_enumeration", "verify_xyc",
 ]
 
 
@@ -201,6 +201,34 @@ def verify_length_identity(modulus: int, n: int) -> LengthCheck:
     )
 
 
+@dataclass(frozen=True)
+class SeriesCheck:
+    """Outcome of checking a family's series against direct enumeration.
+
+    ``count_mismatch`` is the first degree where a coefficient fails to
+    count the family, or None. For inferior-regular families
+    ``operations_mismatch`` is the first degree where a coefficient differs
+    from the summed merge-operation counts over the class-regular family.
+    """
+
+    family: PartitionClass
+    truncation: int
+    series: TruncatedSeries
+    count_mismatch: int | None
+    operations_mismatch: int | None
+
+    @property
+    def regular_counts_differ_at(self) -> int | None:
+        """First degree where an inferior-regular family's counts depart from
+        the regular family's: 0, as the empty partition is regular and never
+        inferior-regular. None for the other families."""
+        return 0 if self.family.kind == INFERIOR_REGULAR else None
+
+    @property
+    def ok(self) -> bool:
+        return self.count_mismatch is None and self.operations_mismatch is None
+
+
 def _first_difference(series: TruncatedSeries, value_at) -> int | None:
     return next(
         (d for d in range(series.truncation + 1) if series[d] != value_at(d)), None
@@ -211,17 +239,15 @@ def verify_series_vs_enumeration(family: PartitionClass, truncation: int) -> Ser
     """Compare every coefficient up to the truncation with enumeration."""
     series = gf_class(family, truncation)
     count_mismatch = _first_difference(series, lambda d: count_class(family, d))
-    operations_mismatch = regular_differs = None
+    operations_mismatch = None
     if family.kind == INFERIOR_REGULAR:
         operations_mismatch = _first_difference(
             series, lambda d: _class_regular_fold(family.moduli, d)[1]
         )
-        regular_differs = 0  # the empty partition is regular, never inferior-regular
     return SeriesCheck(
         family=family,
         truncation=truncation,
         series=series,
         count_mismatch=count_mismatch,
         operations_mismatch=operations_mismatch,
-        regular_counts_differ_at=regular_differs,
     )

@@ -47,6 +47,8 @@ class TestModulusTuple:
         assert list(mt) == [3, 5, 7]
         assert len(mt) == 3
         assert str(mt) == "3,5,7"
+        assert str(PartitionClass.regular((3, 5))) == "regular(3,5)"
+        assert str(PartitionClass.all_partitions()) == "all"
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyTuple):

@@ -27,8 +27,7 @@ from regpart.cli import (
     main,
     xyc_exit_code,
 )
-from regpart.qseries import SeriesCheck
-from regpart.stats import LengthCheck, XYCRow
+from regpart.stats import LengthCheck, SeriesCheck, XYCRow
 
 
 def run(capsys, *argv):
@@ -378,6 +377,24 @@ GOLDEN = [
         "error: UsageError: length scope needs a single modulus\n",
     ),
     (
+        "enumerate --class all --n=5..3",
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: UsageError: bad range '5..3'\n",
+    ),
+    (
+        "enumerate --class all --n=-3",
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: UsageError: size must be nonnegative, got -3\n",
+    ),
+    (
+        "enumerate --class all --moduli 3 --n 3",
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: UsageError: the all class takes no moduli\n",
+    ),
+    (
         "enumerate --class irp --moduli 3,7 --n 18 --format csv",
         0,
         "13a784740bff0f206bc3adb90739cd54b89afa68e98a802cd234efdf491276e4",
@@ -539,8 +556,8 @@ class TestExitCodeReducers:
 
     def test_series_reducer(self):
         family = PartitionClass.regular(2)
-        good = SeriesCheck(family, 2, TruncatedSeries([1, 1, 1]), None, None, None)
-        bad = SeriesCheck(family, 2, TruncatedSeries([1, 1, 1]), 2, None, None)
+        good = SeriesCheck(family, 2, TruncatedSeries([1, 1, 1]), None, None)
+        bad = SeriesCheck(family, 2, TruncatedSeries([1, 1, 1]), 2, None)
         assert checks_exit_code([good]) == 0
         assert checks_exit_code([bad]) == 1
 

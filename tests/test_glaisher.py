@@ -278,6 +278,13 @@ class TestInsertionMap:
         with pytest.raises(InvalidTriple):
             insertion_map(validate_tuple((3, 5)), 1, BijectionTriple(Partition([5, 1]), 1, 1))
 
+    @pytest.mark.parametrize("part, copies, field", [
+        (1.0, 1, "part"), (True, 1, "part"), (1, 2.0, "copies"), (1, True, "copies"),
+    ])
+    def test_part_and_copies_must_be_integers(self, part, copies, field):
+        with pytest.raises(InvalidTriple, match=f"^{field} .* is not an integer$"):
+            insertion_map(3, 1, BijectionTriple(Partition([4, 1, 1, 1]), part, copies))
+
     @given(st.sampled_from([(2,), (3,), (2, 3), (3, 4)]), st.integers(min_value=0, max_value=10))
     def test_preserves_size(self, raw, n):
         mt = validate_tuple(raw)

@@ -18,13 +18,13 @@ PUBLIC = {
     ],
     "partition": ["Partition"],
     "qseries": [
-        "NonInvertible", "SeriesCheck", "TruncatedSeries", "euler_product", "geometric_tail",
-        "gf_class", "gf_tuple_inferior",
+        "NonInvertible", "TruncatedSeries", "euler_product", "geometric_tail", "gf_class",
+        "gf_tuple_inferior",
     ],
     "stats": [
-        "LengthCheck", "XYCReport", "XYCRow", "aggregate", "count_congruent_parts",
-        "count_repeated_sizes", "verify_length_identity", "verify_series_vs_enumeration",
-        "verify_xyc",
+        "LengthCheck", "SeriesCheck", "XYCReport", "XYCRow", "aggregate",
+        "count_congruent_parts", "count_repeated_sizes", "verify_length_identity",
+        "verify_series_vs_enumeration", "verify_xyc",
     ],
 }
 NAMES = {name for names in PUBLIC.values() for name in names} | {"__version__"}

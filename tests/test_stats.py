@@ -1,4 +1,5 @@
 from collections import Counter, defaultdict
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,9 @@ from regpart import (
     REGULAR,
     Partition,
     PartitionClass,
+    SeriesCheck,
     TooSmall,
+    TruncatedSeries,
     aggregate,
     count_congruent_parts,
     count_repeated_sizes,
@@ -212,6 +215,22 @@ def test_series_check_walks_each_family_once_per_degree_it_reads(monkeypatch):
     assert walks[REGULAR] == []
     assert walks[CLASS_REGULAR] == list(range(13))
     assert walks[INFERIOR_REGULAR] == list(range(13))
+
+
+@pytest.mark.parametrize("family, want", [
+    (PartitionClass.all_partitions(), None),
+    (PartitionClass.class_regular((3, 5)), None),
+    (PartitionClass.regular((3, 5)), None),
+    (PartitionClass.inferior_regular((3, 5)), 0),
+])
+def test_regular_counts_differ_at_is_read_from_the_family(family, want):
+    check = SeriesCheck(family, 0, TruncatedSeries([1]), None, None)
+    assert len(fields(check)) == 5
+    assert check.regular_counts_differ_at == want
+    with pytest.raises(TypeError):
+        SeriesCheck(family, 0, TruncatedSeries([1]), None, None, want)
+    with pytest.raises(TypeError):
+        SeriesCheck(family, 0, TruncatedSeries([1]), None, None, regular_counts_differ_at=want)
 
 
 @pytest.mark.parametrize(
