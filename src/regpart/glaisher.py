@@ -80,6 +80,8 @@ class GlaisherTrace:
         for op, small in self.steps:
             _step(table, self.modulus, op, small)
             out.append(Partition.from_multiplicities(table))
+        if out[-1] != self.end:
+            raise ValueError(f"replay ends at {out[-1]}, not at {self.end}")
         return out
 
 

@@ -65,6 +65,7 @@ class TruncatedSeries:
         return self._coeffs
 
     def __getitem__(self, degree: int) -> int:
+        _check_int(degree, None, "degree")
         if not 0 <= degree <= self.truncation:
             raise IndexError(
                 f"coefficient {degree} outside the known range 0..{self.truncation}"

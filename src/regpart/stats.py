@@ -6,13 +6,15 @@ the distinct sizes that occur at least a threshold number of times. Summed
 over all partitions of n in their families, the two counts differ by exactly
 the total number of merge operations, which in turn equals the number of
 inferior-regular partitions of n. The identity needs every tail modulus to
-be congruent to 1 modulo the leading one; the aggregate report records
-whether that hypothesis holds so a failure can be told apart from a
+be congruent to 1 modulo the leading one; each report reads whether that
+hypothesis holds from its moduli, so a failure can be told apart from a
 counterexample. Two folds per size read run tuples: the class-regular fold
 gives X and the merge operations, counted in closed form from the run
 multiplicities without simulating any merge, and the regular fold gives Y.
 The identity checks read both; the series check, which compares each family
 generating function with enumeration, reads only the class-regular fold.
+Each result type stores only counts; its verdict, differences and hypothesis
+flag are properties derived from them, so it cannot disagree with its counts.
 """
 
 from __future__ import annotations
@@ -73,7 +75,10 @@ class XYCReport:
     per_residue: dict[int, tuple[int, int, int]]
     operation_total: int
     inferior_count: int
-    hypothesis_holds: bool
+
+    @property
+    def hypothesis_holds(self) -> bool:
+        return self.moduli.tail_congruent
 
 
 def _class_regular_fold(moduli: ModulusTuple, n: int) -> tuple[list[int], int]:
@@ -114,7 +119,6 @@ def aggregate(moduli: ModulusTuple | int, n: int) -> XYCReport:
         per_residue=per_residue,
         operation_total=operations,
         inferior_count=inferior,
-        hypothesis_holds=moduli.tail_congruent,
     )
 
 
@@ -131,31 +135,28 @@ class XYCRow:
     residue: int
     x_total: int
     y_total: int
-    difference: int
     operation_total: int
     inferior_count: int
-    hypothesis_holds: bool
-    ok: bool
+
+    @property
+    def difference(self) -> int:
+        return self.x_total - self.y_total
+
+    hypothesis_holds = XYCReport.hypothesis_holds
+
+    @property
+    def ok(self) -> bool:
+        return self.difference == self.operation_total == self.inferior_count
 
 
 def verify_xyc(moduli: ModulusTuple | int, n: int) -> tuple[XYCRow, ...]:
     """Check X - Y = operations = inferior count for every residue."""
     report = aggregate(moduli, n)
-    rows = []
-    for residue, (x_total, y_total, diff) in report.per_residue.items():
-        rows.append(XYCRow(
-            moduli=report.moduli,
-            n=n,
-            residue=residue,
-            x_total=x_total,
-            y_total=y_total,
-            difference=diff,
-            operation_total=report.operation_total,
-            inferior_count=report.inferior_count,
-            hypothesis_holds=report.hypothesis_holds,
-            ok=diff == report.operation_total == report.inferior_count,
-        ))
-    return tuple(rows)
+    return tuple(
+        XYCRow(report.moduli, n, residue, x_total, y_total,
+               report.operation_total, report.inferior_count)
+        for residue, (x_total, y_total, _) in report.per_residue.items()
+    )
 
 
 @dataclass(frozen=True)
@@ -172,11 +173,14 @@ class LengthCheck:
     class_regular_length_sum: int
     regular_length_sum: int
     operation_total: int
-    ok: bool
 
     @property
     def difference(self) -> int:
         return self.class_regular_length_sum - self.regular_length_sum
+
+    @property
+    def ok(self) -> bool:
+        return self.difference == (self.modulus - 1) * self.operation_total
 
 
 def verify_length_identity(modulus: int, n: int) -> LengthCheck:
@@ -190,14 +194,12 @@ def verify_length_identity(modulus: int, n: int) -> LengthCheck:
     x, operations = _class_regular_fold(moduli, n)
     class_sum = sum(x)
     regular_sum = sum(_regular_fold(moduli, n)[1:])
-    ok = class_sum - regular_sum == (modulus - 1) * operations
     return LengthCheck(
         modulus=modulus,
         n=n,
         class_regular_length_sum=class_sum,
         regular_length_sum=regular_sum,
         operation_total=operations,
-        ok=ok,
     )
 
 
@@ -212,10 +214,13 @@ class SeriesCheck:
     """
 
     family: PartitionClass
-    truncation: int
     series: TruncatedSeries
     count_mismatch: int | None
     operations_mismatch: int | None
+
+    @property
+    def truncation(self) -> int:
+        return self.series.truncation
 
     @property
     def regular_counts_differ_at(self) -> int | None:
@@ -246,7 +251,6 @@ def verify_series_vs_enumeration(family: PartitionClass, truncation: int) -> Ser
         )
     return SeriesCheck(
         family=family,
-        truncation=truncation,
         series=series,
         count_mismatch=count_mismatch,
         operations_mismatch=operations_mismatch,

@@ -530,34 +530,33 @@ class TestDeterminism:
         assert first == second
 
 
-def _xyc_row(hypothesis, ok):
+def _xyc_row(moduli, ok):
     return XYCRow(
-        moduli=validate_tuple(3), n=5, residue=1, x_total=4, y_total=2,
-        difference=2, operation_total=2 if ok else 3, inferior_count=2,
-        hypothesis_holds=hypothesis, ok=ok,
+        moduli=validate_tuple(moduli), n=5, residue=1, x_total=4, y_total=2,
+        operation_total=2 if ok else 3, inferior_count=2,
     )
 
 
 class TestExitCodeReducers:
     def test_xyc_failure_under_hypothesis(self):
-        assert xyc_exit_code([_xyc_row(True, False)]) == 1
+        assert xyc_exit_code([_xyc_row(3, False)]) == 1
 
     def test_xyc_informational_failure(self):
-        assert xyc_exit_code([_xyc_row(False, False)]) == 0
+        assert xyc_exit_code([_xyc_row((3, 5), False)]) == 0
 
     def test_xyc_pass(self):
-        assert xyc_exit_code([_xyc_row(True, True)]) == 0
+        assert xyc_exit_code([_xyc_row(3, True)]) == 0
 
     def test_length_reducer(self):
-        good = LengthCheck(2, 3, 4, 3, 1, True)
-        bad = LengthCheck(2, 3, 4, 3, 2, False)
+        good = LengthCheck(2, 3, 4, 3, 1)
+        bad = LengthCheck(2, 3, 4, 3, 2)
         assert checks_exit_code([good]) == 0
         assert checks_exit_code([good, bad]) == 1
 
     def test_series_reducer(self):
         family = PartitionClass.regular(2)
-        good = SeriesCheck(family, 2, TruncatedSeries([1, 1, 1]), None, None)
-        bad = SeriesCheck(family, 2, TruncatedSeries([1, 1, 1]), 2, None)
+        good = SeriesCheck(family, TruncatedSeries([1, 1, 1]), None, None)
+        bad = SeriesCheck(family, TruncatedSeries([1, 1, 1]), 2, None)
         assert checks_exit_code([good]) == 0
         assert checks_exit_code([bad]) == 1
 

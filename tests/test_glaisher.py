@@ -116,6 +116,7 @@ class TestTraceShape:
         ([1, 1], ((MERGE, 1),), "cannot replay merge at 1"),
         ([3, 1], ((SPLIT, 2),), "cannot replay split at 6"),
         ([1], (("swap", 1),), "unknown step 'swap'"),
+        ([1, 1, 1], ((MERGE, 1),), "replay ends at (3), not at (1^3)"),
     ])
     def test_states_rejects_a_bad_replay(self, start, steps, message):
         trace = GlaisherTrace(Partition(start), Partition(start), 3, steps)

@@ -56,6 +56,11 @@ class TestSeriesBasics:
         with pytest.raises(IndexError):
             f[-1]
 
+    @pytest.mark.parametrize("degree", [True, 1.0])
+    def test_index_must_be_an_integer(self, degree):
+        with pytest.raises(ValueError, match="is not an integer"):
+            TruncatedSeries([3, 0, -2])[degree]
+
     def test_constants(self):
         assert TruncatedSeries.zero(3).coefficients == (0, 0, 0, 0)
         assert TruncatedSeries.one(3).coefficients == (1, 0, 0, 0)

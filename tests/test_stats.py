@@ -1,5 +1,5 @@
 from collections import Counter, defaultdict
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -32,6 +32,7 @@ from regpart import (
     verify_xyc,
 )
 from regpart import classes
+from regpart.cli import xyc_exit_code
 
 parts_lists = st.lists(st.integers(min_value=1, max_value=12), max_size=14)
 
@@ -224,13 +225,37 @@ def test_series_check_walks_each_family_once_per_degree_it_reads(monkeypatch):
     (PartitionClass.inferior_regular((3, 5)), 0),
 ])
 def test_regular_counts_differ_at_is_read_from_the_family(family, want):
-    check = SeriesCheck(family, 0, TruncatedSeries([1]), None, None)
-    assert len(fields(check)) == 5
+    check = SeriesCheck(family, TruncatedSeries([1]), None, None)
+    assert len(fields(check)) == 4
     assert check.regular_counts_differ_at == want
     with pytest.raises(TypeError):
-        SeriesCheck(family, 0, TruncatedSeries([1]), None, None, want)
+        SeriesCheck(family, TruncatedSeries([1]), None, None, want)
     with pytest.raises(TypeError):
-        SeriesCheck(family, 0, TruncatedSeries([1]), None, None, regular_counts_differ_at=want)
+        SeriesCheck(family, TruncatedSeries([1]), None, None, regular_counts_differ_at=want)
+
+
+@pytest.mark.parametrize("moduli", [3, (3, 5)])
+def test_verdicts_differences_and_hypothesis_flags_are_derived(moduli):
+    mt = validate_tuple(moduli)
+    report = aggregate(mt, 7)
+    rows = verify_xyc(mt, 7)
+    length = verify_length_identity(mt.head, 7)
+    series = verify_series_vs_enumeration(PartitionClass.inferior_regular(mt), 6)
+    assert [len(fields(r)) for r in (rows[0], report, length, series)] == [7, 5, 5, 4]
+    assert report.hypothesis_holds == mt.tail_congruent
+    for row in rows:
+        assert row.difference == row.x_total - row.y_total
+        assert row.hypothesis_holds == mt.tail_congruent
+        assert row.ok == (row.difference == row.operation_total == row.inferior_count)
+    assert all(row.ok for row in rows) == mt.tail_congruent
+    assert length.ok == (length.difference == (length.modulus - 1) * length.operation_total)
+    assert series.truncation == series.series.truncation == 6
+    derived = [(rows[0], "difference"), (rows[0], "hypothesis_holds"), (rows[0], "ok"),
+               (report, "hypothesis_holds"), (length, "ok"), (series, "truncation")]
+    for result, name in derived:
+        with pytest.raises(TypeError):
+            replace(result, **{name: getattr(result, name)})
+    assert xyc_exit_code(verify_xyc(mt, 5)) == 0
 
 
 @pytest.mark.parametrize(
