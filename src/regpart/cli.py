@@ -97,17 +97,30 @@ _CLASS_NAMES = {
 def _family_from_args(name: str, moduli_text: str | None) -> PartitionClass:
     kind = _CLASS_NAMES[name]
     if kind == ALL:
-        if moduli_text:
+        if moduli_text is not None:
             raise UsageError("the all class takes no moduli")
         return PartitionClass.all_partitions()
-    if not moduli_text:
+    if moduli_text is None:
         raise UsageError(f"class {name} needs --moduli")
     mt = _parse_moduli(moduli_text)
     return PartitionClass(kind, mt)
 
 
-def _compact(values) -> str:
-    return json.dumps(list(values), separators=(",", ":"))
+def _bodies(partitions, sep: str):
+    """Yield the parts of each partition joined by ``sep``, without brackets.
+
+    The text of each run ``(part, mult)`` is made once per call: a command
+    meets at most the distinct runs of size <= n, O(n log n) of them.
+    """
+    texts: dict[tuple[int, int], str] = {}
+    for p in partitions:
+        pieces = []
+        for run in p.runs:
+            text = texts.get(run)
+            if text is None:
+                text = texts[run] = sep.join([str(run[0])] * run[1])
+            pieces.append(text)
+        yield sep.join(pieces)
 
 
 def _csv_writer(stream):
@@ -160,17 +173,15 @@ def _cmd_enumerate(args) -> int:
     n = sizes[0]
     _guard("n=", n, MAX_PLAIN_N, args.force)
     out = sys.stdout
+    bodies = _bodies(enumerate_class(family, n), ", " if args.format == "jsonl" else ",")
     if args.format == "csv":
         writer = _csv_writer(out)
         writer.writerow(["partition"])
-        for p in enumerate_class(family, n):
-            writer.writerow([_compact(p.parts)])
+        writer.writerows([f"[{b}]"] for b in bodies)
     elif args.format == "jsonl":
-        for p in enumerate_class(family, n):
-            print(json.dumps({"partition": list(p.parts)}), file=out)
+        out.writelines('{"partition": [' + b + "]}\n" for b in bodies)
     else:
-        for p in enumerate_class(family, n):
-            print(_compact(p.parts), file=out)
+        out.writelines(f"[{b}]\n" for b in bodies)
     return 0
 
 
@@ -182,20 +193,17 @@ def _cmd_glaisher(args) -> int:
         if args.inverse
         else glaisher_forward(partition, modulus)
     )
-    states = trace.states()
     out = sys.stdout
+    bodies = _bodies(trace.states(), ", " if args.format == "jsonl" else ",")
     if args.format == "csv":
         writer = _csv_writer(out)
         writer.writerow(["step", "partition"])
-        for index, state in enumerate(states):
-            writer.writerow([index, _compact(state.parts)])
+        writer.writerows([index, f"[{b}]"] for index, b in enumerate(bodies))
     elif args.format == "jsonl":
-        for state in states:
-            print(json.dumps({"state": list(state.parts)}), file=out)
+        out.writelines('{"state": [' + b + "]}\n" for b in bodies)
         print(json.dumps({"count": trace.count}), file=out)
     else:
-        for state in states:
-            print(_compact(state.parts), file=out)
+        out.writelines(f"[{b}]\n" for b in bodies)
         print(f"count={trace.count}", file=out)
     return 0
 

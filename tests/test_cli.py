@@ -8,6 +8,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from oracles import in_class_regular, in_inferior, in_regular, partitions_desc
 
 from regpart import (
     InvalidTriple,
@@ -85,6 +89,22 @@ class TestEnumerate:
     def test_missing_moduli(self, capsys):
         code, _, err = run(capsys, "enumerate", "--class", "rp", "--n", "5")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["enumerate", "--class", "all", "--moduli", "", "--n", "3"],
+             "error: UsageError: the all class takes no moduli\n"),
+            (["enumerate", "--class", "cp", "--moduli", "", "--n", "3"],
+             "error: EmptyTuple: need at least one modulus\n"),
+            (["verify", "--scope", "xyc", "--moduli", "", "--n", "3"],
+             "error: EmptyTuple: need at least one modulus\n"),
+        ],
+        ids=["enumerate-all", "enumerate-cp", "verify"],
+    )
+    def test_empty_moduli_is_given_not_absent(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", message)
 
     def test_rejects_range(self, capsys):
         code, _, err = run(capsys, "enumerate", "--class", "all", "--n", "2..4")
@@ -413,6 +433,30 @@ GOLDEN = [
         "",
     ),
     (
+        "enumerate --class all --n 0 --format csv",
+        0,
+        "081f16411d659481ce99352f37fd71d9bd53139e22ddfbcce6098d2eed959844",
+        "",
+    ),
+    (
+        "enumerate --class cp --moduli 3 --n 4 --format csv",
+        0,
+        "5d618ffd75bcc53b1dadb8ba887ece4c8bc5519a80fd5be350399b2d08ee371b",
+        "",
+    ),
+    (
+        "enumerate --class all --n 0 --format jsonl",
+        0,
+        "60930e6eba8b1cca8adfce3b39afba809141522d214c6997061c31a151acd700",
+        "",
+    ),
+    (
+        "enumerate --class irp --moduli 3 --n 0",
+        0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "",
+    ),
+    (
         "glaisher --parts 4,2 --r 2 --inverse --format csv",
         0,
         "ba8c56adb6e1964f5f564ad75f425a95afc44f255d6b438caf420d3c8cd3230f",
@@ -436,6 +480,12 @@ GOLDEN = [
         "c907d26872a673243b3e9ba443a49444abd94fb5e11558913ff5e9d0da25007d",
         "",
     ),
+    (
+        "glaisher --parts '' --r 2 --format jsonl",
+        0,
+        "8f3c377b20cb7dbd0ba63af71327c2845eb75e5df456da052cd884a4859ec444",
+        "",
+    ),
 ]
 
 
@@ -446,6 +496,53 @@ class TestGoldenOutput:
         assert got_code == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert got_err == err
+
+
+ORACLE_MODULI = [(2,), (3,), (5,), (2, 3), (3, 7)]
+
+
+def _oracle_rows(family, moduli, n, fmt):
+    """The enumerate output built from the test oracles and the json and csv
+    modules alone."""
+    head, tail = moduli[0], moduli[1:]
+    member = {
+        "all": lambda parts: True,
+        "cp": lambda parts: in_class_regular(parts, moduli),
+        "rp": lambda parts: in_regular(parts, head, tail),
+        "irp": lambda parts: in_inferior(parts, head, tail),
+    }[family]
+    members = [list(parts) for parts in partitions_desc(n) if member(parts)]
+    if fmt == "jsonl":
+        return "".join(json.dumps({"partition": parts}) + "\n" for parts in members)
+    lines = [json.dumps(parts, separators=(",", ":")) for parts in members]
+    if fmt == "plain":
+        return "".join(line + "\n" for line in lines)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["partition"])
+    writer.writerows([line] for line in lines)
+    return out.getvalue()
+
+
+class TestEnumerateAgainstOracle:
+    # capsys is read and cleared by each run, so examples do not share output
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        family=st.sampled_from(["all", "cp", "rp", "irp"]),
+        moduli=st.sampled_from(ORACLE_MODULI),
+        n=st.integers(0, 14),
+        fmt=st.sampled_from(["plain", "csv", "jsonl"]),
+    )
+    def test_stdout_matches_the_oracle(self, capsys, family, moduli, n, fmt):
+        argv = ["enumerate", "--class", family, "--n", str(n), "--format", fmt]
+        if family != "all":
+            argv += ["--moduli", ",".join(map(str, moduli))]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == _oracle_rows(family, moduli, n, fmt)
 
 
 def _record_stdout_at_each_call(monkeypatch, name):
