@@ -25,7 +25,6 @@ from .classes import (
     ModulusTuple,
     PartitionClass,
     TooSmall,
-    enumerate_runs,
     is_member,
     validate_tuple,
 )
@@ -33,7 +32,7 @@ from .partition import Partition, _check_int, _check_residue
 
 __all__ = [
     "MERGE", "SPLIT", "BijectionTriple", "GlaisherTrace", "InvalidTriple", "NotRegular",
-    "PreimageCensus", "PreimageCountMismatch", "factor_out", "glaisher_forward",
+    "PreimageCountMismatch", "factor_out", "glaisher_forward",
     "glaisher_inverse", "insertion_map", "insertion_preimages",
 ]
 
@@ -247,22 +246,6 @@ def insertion_map(
     return Partition._from_runs(_image(lam.runs, moduli, part, copies))
 
 
-def _image_census(moduli: ModulusTuple, residue: int, n: int):
-    # {image run tuple: frozenset of its marked preimages}, from every marked
-    # class-regular partition of size n
-    table: dict[tuple, list[BijectionTriple]] = {}
-    head = moduli.head
-    for runs in enumerate_runs(PartitionClass.class_regular(moduli), n):
-        lam = Partition._from_runs(runs)
-        for part, mult in runs:
-            if part % head != residue:
-                continue
-            for copies in range(1, mult + 1):
-                image = _image(runs, moduli, part, copies)
-                table.setdefault(image, []).append(BijectionTriple(lam, part, copies))
-    return {image: frozenset(t) for image, t in table.items()}
-
-
 def _identity_count(runs, moduli: ModulusTuple, residue: int) -> int:
     # The preimage count the counting identity gives, read from the family
     # definitions alone: the sizes of multiplicity at least the residue on a
@@ -276,47 +259,6 @@ def _identity_count(runs, moduli: ModulusTuple, residue: int) -> int:
         heavy += mult >= head
         repeated += mult >= residue
     return int(heavy == 1) if heavy else repeated
-
-
-def _check_count(found: int, want: int, runs) -> None:
-    if found != want:
-        raise PreimageCountMismatch(
-            f"preimage count {found} disagrees with the counting identity "
-            f"value {want} for {Partition._from_runs(runs)}"
-        )
-
-
-class PreimageCensus:
-    """The marked partitions of total size n that the insertion map sends to
-    each target, for one modulus tuple and residue, built once.
-
-    When every tail modulus is congruent to 1 modulo the head, the build
-    checks every target of size n against the counting identity, by the rule
-    insertion_preimages checks each query with, and raises
-    PreimageCountMismatch where it fails."""
-
-    __slots__ = ("n", "_table")
-
-    def __init__(self, moduli: ModulusTuple | int, residue: int, n: int):
-        moduli = validate_tuple(moduli)
-        _check_residue(residue, moduli.head, "residue", InvalidTriple)
-        _check_int(n, 0, "partition size")
-        self.n = n
-        self._table = table = _image_census(moduli, residue, n)
-        if not moduli.tail_congruent:
-            return
-        targets = set(table)
-        for family in (PartitionClass.regular(moduli), PartitionClass.inferior_regular(moduli)):
-            targets.update(enumerate_runs(family, n))
-        for runs in targets:
-            _check_count(len(table.get(runs, ())), _identity_count(runs, moduli, residue), runs)
-
-    def preimages(self, target: Partition) -> frozenset[BijectionTriple]:
-        """The census entry of the target (ValueError unless its size is n)."""
-        found = self._table.get(target.runs)  # every image has size n
-        if found is None and target.size != self.n:
-            raise ValueError(f"target has size {target.size}, expected {self.n}")
-        return found or frozenset()
 
 
 def _undo_insertion(runs, moduli: ModulusTuple, residue: int) -> frozenset[BijectionTriple]:
@@ -375,5 +317,10 @@ def insertion_preimages(
         raise ValueError(f"target has size {target.size}, expected {n}")
     found = _undo_insertion(target.runs, moduli, residue)
     if moduli.tail_congruent:
-        _check_count(len(found), _identity_count(target.runs, moduli, residue), target.runs)
+        want = _identity_count(target.runs, moduli, residue)
+        if len(found) != want:
+            raise PreimageCountMismatch(
+                f"preimage count {len(found)} disagrees with the counting identity "
+                f"value {want} for {target}"
+            )
     return found

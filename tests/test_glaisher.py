@@ -2,12 +2,20 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import in_class_regular, merge_count_closed_form, merge_fully, partitions_desc
+from oracles import (
+    in_class_regular,
+    in_inferior,
+    in_regular,
+    merge_count_closed_form,
+    merge_fully,
+    partitions_desc,
+)
 from regpart import (
     MERGE,
     SPLIT,
@@ -17,7 +25,6 @@ from regpart import (
     NotRegular,
     Partition,
     PartitionClass,
-    PreimageCensus,
     PreimageCountMismatch,
     TooSmall,
     count_congruent_parts,
@@ -286,6 +293,12 @@ class TestInsertionMap:
         with pytest.raises(InvalidTriple, match=f"^{field} .* is not an integer$"):
             insertion_map(3, 1, BijectionTriple(Partition([4, 1, 1, 1]), part, copies))
 
+    @pytest.mark.parametrize("raw, lam", [(3, [4, 1, 1, 1]), ((3, 4), [5, 1, 1, 1])])
+    @pytest.mark.parametrize("copies", [0, -1])
+    def test_copies_below_one(self, raw, lam, copies):
+        with pytest.raises(InvalidTriple, match=rf"^copies {copies} not in 1\.\.3 for part 1$"):
+            insertion_map(raw, 1, BijectionTriple(Partition(lam), 1, copies))
+
     @given(st.sampled_from([(2,), (3,), (2, 3), (3, 4)]), st.integers(min_value=0, max_value=10))
     def test_preserves_size(self, raw, n):
         mt = validate_tuple(raw)
@@ -324,6 +337,29 @@ def _oracle_marked(moduli, n):
                     yield parts, part, copies
 
 
+def _oracle_census(moduli, residue, n):
+    # {target: frozenset of its marked preimages}, imaging every marked
+    # class-regular partition of n with a part congruent to the residue
+    table = {}
+    for parts, part, copies in _oracle_marked(moduli, n):
+        if part % moduli[0] == residue:
+            image = Partition(_oracle_image(parts, moduli, part, copies))
+            table.setdefault(image, set()).add(BijectionTriple(Partition(parts), part, copies))
+    return {image: frozenset(triples) for image, triples in table.items()}
+
+
+def _check_inverse_against_census(raw, top):
+    # the closed-form inverse against the census from the definitions, on
+    # every target of size at most top, for every residue
+    moduli = (raw,) if isinstance(raw, int) else raw
+    for j in range(1, moduli[0]):
+        for n in range(top + 1):
+            census = _oracle_census(moduli, j, n)
+            for parts in partitions_desc(n):
+                mu = Partition(parts)
+                assert insertion_preimages(raw, j, n, mu) == census.get(mu, frozenset())
+
+
 class TestInsertionOracle:
     @pytest.mark.parametrize("raw", [(2,), (3,), (5,), (2, 3), (3, 4), (3, 5), (3, 7)])
     def test_every_marked_partition(self, raw):
@@ -336,19 +372,8 @@ class TestInsertionOracle:
 
     def test_census_outside_the_hypothesis(self):
         # (3, 5) fails the hypothesis, so no query checks its preimage counts
-        raw = (3, 5)
-        mt = validate_tuple(raw)
-        assert not mt.tail_congruent
-        for n in range(13):
-            for residue in (1, 2):
-                expected = {}
-                for parts, part, copies in _oracle_marked(raw, n):
-                    if part % 3 == residue:
-                        image = Partition(_oracle_image(parts, raw, part, copies))
-                        triple = BijectionTriple(Partition(parts), part, copies)
-                        expected.setdefault(image, set()).add(triple)
-                census = glaisher._image_census(mt, residue, n)
-                assert census == {mu.runs: frozenset(t) for mu, t in expected.items()}
+        assert not validate_tuple((3, 5)).tail_congruent
+        _check_inverse_against_census((3, 5), 12)
 
 
 class TestInsertionPreimages:
@@ -473,17 +498,21 @@ class TestPreimageCountCheck:
         with pytest.raises(PreimageCountMismatch):
             insertion_preimages(validate_tuple(3), 1, 7, Partition([7]))
 
-    def test_census_and_inverse_share_one_counting_rule(self, monkeypatch):
-        # a rule that predicts no preimage anywhere breaks both the whole
-        # census and a single query, which calls it exactly once
+    def test_one_counting_rule_call_per_query(self, monkeypatch):
+        # a rule that predicts no preimage anywhere breaks a single query,
+        # which calls it exactly once
         calls = []
         monkeypatch.setattr(glaisher, "_identity_count", lambda *args: calls.append(args) or 0)
         with pytest.raises(PreimageCountMismatch):
-            PreimageCensus(3, 1, 7)
-        calls.clear()
-        with pytest.raises(PreimageCountMismatch):
             insertion_preimages(3, 1, 7, Partition([7]))
         assert len(calls) == 1
+
+    def test_query_outside_the_hypothesis_is_not_checked(self, monkeypatch):
+        monkeypatch.setattr(glaisher, "_identity_count", lambda *args: 0)
+        found = insertion_preimages((3, 5), 1, 7, Partition([7]))
+        assert found == {BijectionTriple(Partition([1] * 7), 1, 7)}
+        with pytest.raises(PreimageCountMismatch):
+            insertion_preimages((3, 4), 1, 7, Partition([7]))
 
     def test_mismatch_is_not_a_user_error(self):
         assert issubclass(PreimageCountMismatch, RuntimeError)
@@ -499,71 +528,28 @@ class TestPreimageCountCheck:
         assert result.stdout.split() == ["optimize", "1", "raised"]
 
 
-def _queries(raws, top):
-    everything = PartitionClass.all_partitions()
-    return [
-        (mt, j, n, mu)
-        for mt in map(validate_tuple, raws)
-        for j in range(1, mt.head)
-        for n in range(top + 1)
-        for mu in enumerate_class(everything, n)
-    ]
-
-
-def _patched_census(monkeypatch, raw, residue, n, edit):
-    # the true census of (raw, residue, n) after edit(table), injected
-    table = dict(glaisher._image_census(validate_tuple(raw), residue, n))
-    edit(table)
-    monkeypatch.setattr(glaisher, "_image_census", lambda moduli, residue, n: table)
-
-
 class TestWholeCensusCheck:
-    def test_missing_unqueried_target_raises(self, monkeypatch):
-        # (4 2 1) is regular with three preimages; nothing queries it
-        target = ((4, 1), (2, 1), (1, 1))
-        _patched_census(monkeypatch, 3, 1, 7, lambda table: table.pop(target))
-        with pytest.raises(PreimageCountMismatch):
-            PreimageCensus(3, 1, 7)
-
-    def test_image_outside_both_families_raises(self, monkeypatch):
-        # (2^3 1^3) has two sizes with multiplicity at least 3
-        stray = ((2, 3), (1, 3))
-        triple = BijectionTriple(Partition([1] * 9), 1, 9)
-
-        def add(table):
-            assert stray not in table
-            table[stray] = frozenset({triple})
-
-        _patched_census(monkeypatch, 3, 1, 9, add)
-        with pytest.raises(PreimageCountMismatch):
-            PreimageCensus(3, 1, 9)
-
-    def test_extra_triple_on_a_regular_target_raises(self, monkeypatch):
-        target = ((7, 1),)
-        extra = BijectionTriple(Partition([4, 2, 1]), 1, 1)
-
-        def add(table):
-            assert len(table[target]) == 1
-            table[target] = table[target] | {extra}
-
-        _patched_census(monkeypatch, 3, 1, 7, add)
-        with pytest.raises(PreimageCountMismatch):
-            PreimageCensus(3, 1, 7)
-
-    def test_census_outside_the_hypothesis_is_not_checked(self, monkeypatch):
-        monkeypatch.setattr(glaisher, "_image_census", lambda moduli, residue, n: {})
-        assert PreimageCensus((3, 5), 1, 7).preimages(Partition([7])) == frozenset()
-        with pytest.raises(PreimageCountMismatch):
-            PreimageCensus((3, 4), 1, 7)
-
     @pytest.mark.parametrize("raw", [3, (2, 3), (3, 4), (3, 5), (5, 3), (4, 5), (2, 3, 5)])
     def test_agrees_with_insertion_preimages(self, raw):
-        # the closed-form inverse against the exhaustive census, on every target
-        censuses = {}
-        for mt, j, n, mu in _queries([raw], 16):
-            if (j, n) not in censuses:
-                censuses[j, n] = PreimageCensus(mt, j, n)
-            assert censuses[j, n].preimages(mu) == insertion_preimages(mt, j, n, mu)
+        _check_inverse_against_census(raw, 16)
+
+    @pytest.mark.parametrize("moduli", [(3,), (2, 3), (3, 4), (2, 3, 5)])
+    def test_counting_identity_on_every_target(self, moduli):
+        # under the hypothesis, the census from the definitions counts 1 on
+        # an inferior-regular target, the sizes repeated at least j times on
+        # a regular one, 0 elsewhere; queried or not
+        head, tail = moduli[0], moduli[1:]
+        for j in range(1, head):
+            for n in range(15):
+                census = _oracle_census(moduli, j, n)
+                for parts in partitions_desc(n):
+                    if in_inferior(parts, head, tail):
+                        want = 1
+                    elif in_regular(parts, head, tail):
+                        want = sum(m >= j for m in Counter(parts).values())
+                    else:
+                        want = 0
+                    assert len(census.get(Partition(parts), ())) == want, (parts, j)
 
 
 class TestInputGuards:
@@ -572,14 +558,8 @@ class TestInputGuards:
         for residue in (0, mt.head):
             with pytest.raises(InvalidTriple):
                 insertion_preimages(mt, residue, 4, Partition([4]))
-            with pytest.raises(InvalidTriple):
-                PreimageCensus(mt, residue, 4)
         with pytest.raises(ValueError, match="nonnegative"):
             insertion_preimages(mt, 1, -1, Partition())
         insertion_preimages(mt, 1, 1, Partition([1]))
         with pytest.raises(ValueError, match="nonnegative"):  # True == 1, but not an int
             insertion_preimages(mt, 1, True, Partition([1]))
-        with pytest.raises(ValueError, match="nonnegative"):
-            PreimageCensus(mt, 1, -1)
-        with pytest.raises(ValueError, match="expected 7"):
-            PreimageCensus(mt, 1, 7).preimages(Partition([4, 2]))

@@ -7,7 +7,6 @@ from regpart import (
     InvalidTriple,
     Partition,
     PartitionClass,
-    PreimageCensus,
     TruncatedSeries,
     aggregate,
     count_class,
@@ -136,7 +135,6 @@ SIZE_ENTRY_POINTS = {
     "aggregate": lambda n: aggregate(3, n),
     "verify_xyc": lambda n: verify_xyc(3, n),
     "verify_length_identity": lambda n: verify_length_identity(3, n),
-    "PreimageCensus": lambda n: PreimageCensus(3, 1, n),
     "insertion_preimages": lambda n: insertion_preimages(3, 1, n, Partition()),
     "gf_class": lambda n: gf_class(PartitionClass.class_regular(3), n),
     "gf_tuple_inferior": lambda n: gf_tuple_inferior(3, n),
@@ -164,7 +162,6 @@ RESIDUE_ENTRY_POINTS = {
     "insertion_map": (InvalidTriple, lambda j: insertion_map(
         3, j, BijectionTriple(Partition([1]), 1, 1)
     )),
-    "PreimageCensus": (InvalidTriple, lambda j: PreimageCensus(3, j, 1)),
     "insertion_preimages": (InvalidTriple, lambda j: insertion_preimages(3, j, 1, Partition([1]))),
     "count_congruent_parts": (ValueError, lambda j: count_congruent_parts(Partition([4, 1]), 3, j)),
     "count_repeated_sizes": (ValueError, lambda j: count_repeated_sizes(Partition([1]), 3, j)),
