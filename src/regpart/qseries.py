@@ -3,17 +3,25 @@
 All coefficients are Python integers, so every identity checked here is
 exact: a truncated series knows itself up to some degree and any arithmetic
 result is truncated to the smallest degree among its inputs. The family
-generating functions are built in place from sparse factors: one rising
-pass per factor 1 / (1 - q^k), over the k no modulus divides, gives the
-product forms, and the inferior-regular family multiplies them into a tail
-of divisor counts. This module only builds series;
+generating functions are built in place from sparse Euler products: by the
+pentagonal number theorem E(s) = prod (1 - q^(sk)) has O(sqrt(N / s))
+terms below N, and the product of 1 / (1 - q^k) over the k no modulus
+divides is a quotient of one E per subset of the moduli. Multiplying or
+dividing by each E costs O(N^1.5), so a family over m moduli costs about
+2^m * N^1.5 coefficient steps instead of the N^2 of one dense pass per
+factor; that dense product is now a test oracle. The inferior-regular
+family applies the same quotient to a tail of divisor counts. This module
+only builds series;
 ``verify_series_vs_enumeration`` checks them coefficient by coefficient
 against direct enumeration.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import combinations
+from math import prod
+from operator import add, sub
 
 from .classes import ALL, INFERIOR_REGULAR, ModulusTuple, PartitionClass, validate_tuple
 from .partition import _check_int
@@ -138,17 +146,14 @@ class TruncatedSeries:
 def euler_product(step: int, truncation: int) -> TruncatedSeries:
     """The product of (1 - q^(step * k)) over all k >= 1, truncated.
 
-    Factors whose degree exceeds the truncation contribute nothing, so the
-    product is finite.
+    Written in closed form by Euler's pentagonal number theorem: the only
+    nonzero coefficients are the signs at the pentagonal exponents.
     """
     _check_int(step, 1, "step")
     _check_int(truncation, 0, "truncation")
     coeffs = [0] * (truncation + 1)
-    coeffs[0] = 1
-    for k in range(1, truncation // step + 1):
-        a = step * k
-        for d in range(truncation, a - 1, -1):
-            coeffs[d] -= coeffs[d - a]
+    for exponent, sign in _pentagonal(step, truncation):
+        coeffs[exponent] = sign
     return TruncatedSeries(coeffs)
 
 
@@ -162,14 +167,47 @@ def geometric_tail(base: int, truncation: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def _factor_product(coeffs: list[int], forbidden: tuple[int, ...]) -> list[int]:
-    # Multiplies coeffs in place by 1 / (1 - q^k) for every k >= 1 that no
-    # forbidden modulus divides: one rising pass c[d] += c[d - k] per factor.
+def _pentagonal(step: int, n: int) -> Iterator[tuple[int, int]]:
+    # The (exponent, sign) terms of E(step) = prod over k >= 1 of
+    # (1 - q^(step * k)) up to degree n, by Euler's pentagonal number
+    # theorem: the sum over all integers j of (-1)^j q^(step * j(3j - 1)/2).
+    # Taking j = 0, 1, -1, 2, -2, ... yields the exponents in rising order.
+    j = 0
+    while (exponent := step * (j * (3 * j - 1) // 2)) <= n:
+        yield exponent, -1 if j % 2 else 1
+        j = -j if j > 0 else 1 - j
+
+
+def _euler_quotient(coeffs: list[int], moduli: tuple[int, ...]) -> list[int]:
+    # Multiplies coeffs in place by F, the product of E(prod S) over the odd
+    # subsets S of the moduli divided by the product over the even ones (the
+    # empty subset gives 1 / E(1)). The moduli are pairwise coprime, so
+    # prod S is the lcm of S, and F is the product of 1 / (1 - q^k) over the
+    # k that no modulus divides. Each E(s) has O(sqrt(n / s)) terms.
     n = len(coeffs) - 1
-    for k in range(1, n + 1):
-        if all(k % m for m in forbidden):
-            for d in range(k, n + 1):
-                coeffs[d] += coeffs[d - k]
+    for size in range(len(moduli) + 1):
+        for subset in combinations(moduli, size):
+            terms = list(_pentagonal(prod(subset), n))[1:]
+            if size % 2:
+                source = coeffs[:]
+                for e, sign in terms:
+                    coeffs[e:] = map(add if sign > 0 else sub, coeffs[e:], source)
+                continue
+            # forward substitution: E(s) has constant term 1, so
+            # c[d] -= sum of sign * c[d - e] over its other terms, in rising d
+            plus = [e for e, sign in terms if sign > 0]
+            minus = [e for e, sign in terms if sign < 0]
+            for d in range(1, n + 1):
+                acc = coeffs[d]
+                for e in minus:
+                    if e > d:
+                        break
+                    acc += coeffs[d - e]
+                for e in plus:
+                    if e > d:
+                        break
+                    acc -= coeffs[d - e]
+                coeffs[d] = acc
     return coeffs
 
 
@@ -179,15 +217,17 @@ def gf_class(family: PartitionClass, truncation: int) -> TruncatedSeries:
     Coefficient d counts the members of total size d. The regular and
     class-regular families of the same tuple share one closed form, the
     product of 1 / (1 - q^k) over the k that no modulus divides; ``all``
-    takes the product over every k. The inferior-regular coefficients also
-    equal the total number of merge operations over the class-regular
-    family at each size.
+    takes the product over every k. The product is built as a quotient of
+    sparse Euler products, one per subset of the moduli, in about
+    2^m * N^1.5 steps for m moduli and truncation N. The inferior-regular
+    coefficients also equal the total number of merge operations over the
+    class-regular family at each size.
     """
     _check_int(truncation, 0, "truncation")
     if family.kind == INFERIOR_REGULAR:
         return gf_tuple_inferior(family.moduli, truncation)
     forbidden = () if family.kind == ALL else tuple(family.moduli)
-    return TruncatedSeries(_factor_product([1] + [0] * truncation, forbidden))
+    return TruncatedSeries(_euler_quotient([1] + [0] * truncation, forbidden))
 
 
 def gf_tuple_inferior(moduli: ModulusTuple | int, truncation: int) -> TruncatedSeries:
@@ -197,6 +237,8 @@ def gf_tuple_inferior(moduli: ModulusTuple | int, truncation: int) -> TruncatedS
     The family's product form multiplies the tail of
     q^(head * k) / (1 - q^(head * k)) over the k that no non-leading modulus
     divides: its coefficient at d counts those k with head * k dividing d.
+    The product is applied as the same quotient of sparse Euler products
+    ``gf_class`` uses, in about 2^m * N^1.5 steps.
     """
     _check_int(truncation, 0, "truncation")
     moduli = validate_tuple(moduli)
@@ -205,4 +247,4 @@ def gf_tuple_inferior(moduli: ModulusTuple | int, truncation: int) -> TruncatedS
         if all(k % t for t in moduli.tail):
             for d in range(moduli.head * k, truncation + 1, moduli.head * k):
                 tail[d] += 1
-    return TruncatedSeries(_factor_product(tail, tuple(moduli)))
+    return TruncatedSeries(_euler_quotient(tail, tuple(moduli)))

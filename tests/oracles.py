@@ -88,6 +88,18 @@ def pentagonal_coefficients(trunc):
     return coeffs
 
 
+def factor_product(trunc, forbidden=(), tail=None):
+    """The product of 1 / (1 - q^k) over every k >= 1 that no forbidden
+    modulus divides, times ``tail`` (1 when None), up to q^trunc: one
+    rising pass c[d] += c[d - k] per factor."""
+    coeffs = [1] + [0] * trunc if tail is None else list(tail)
+    for k in range(1, trunc + 1):
+        if all(k % m != 0 for m in forbidden):
+            for d in range(k, trunc + 1):
+                coeffs[d] += coeffs[d - k]
+    return coeffs
+
+
 def naive_mul(a, b, trunc):
     out = [0] * (trunc + 1)
     for i, x in enumerate(a[:trunc + 1]):

@@ -3,10 +3,11 @@ from itertools import combinations
 from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import (
+    factor_product,
     in_inferior,
     naive_inverse,
     naive_mul,
@@ -15,10 +16,12 @@ from oracles import (
 )
 from regpart import (
     ALL,
+    CLASS_REGULAR,
     INFERIOR_REGULAR,
     NonInvertible,
     NotCoprime,
     PartitionClass,
+    REGULAR,
     TruncatedSeries,
     count_class,
     euler_product,
@@ -28,6 +31,9 @@ from regpart import (
     validate_tuple,
     verify_series_vs_enumeration,
 )
+
+# one modulus, pairs, triples and a quadruple, including a non-prime head
+WITNESS_TUPLES = [2, 3, 4, 5, (2, 3), (3, 4), (3, 5), (3, 7), (2, 3, 7), (2, 3, 5, 7), (4, 3, 5, 7)]
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=16)
 series_values = coeff_lists.map(TruncatedSeries)
@@ -173,6 +179,15 @@ class TestEulerProduct:
             euler_product(0, 5)
         with pytest.raises(ValueError):
             euler_product(2, -1)
+
+
+class TestEulerClosedForm:
+    @pytest.mark.parametrize("step", range(1, 8))
+    def test_pentagonal_coefficients_on_the_multiples_of_the_step(self, step):
+        for n in range(301):
+            expected = [0] * (n + 1)
+            expected[::step] = pentagonal_coefficients(n // step)
+            assert list(euler_product(step, n).coefficients) == expected
 
 
 class TestGeometricTail:
@@ -351,8 +366,9 @@ def _subset_inclusion_exclusion(family, trunc):
     # The generating functions rebuilt from public primitives alone: per
     # subset of the moduli an Euler product at the subset's product, direct
     # for odd subsets and inverted for even ones, and for the inferior
-    # family a sum of geometric tails with alternating signs. Independent of
-    # the sparse-factor construction in gf_class.
+    # family a sum of geometric tails with alternating signs. It shares the
+    # subset quotient and the pentagonal terms with gf_class but not its
+    # sparse in-place arithmetic; _dense_witness below shares neither.
     if family.kind == ALL:
         return euler_product(1, trunc).invert()
     mt = family.moduli
@@ -379,10 +395,7 @@ class TestSecondWitness:
         family = PartitionClass.all_partitions()
         assert gf_class(family, self.TRUNC) == _subset_inclusion_exclusion(family, self.TRUNC)
 
-    @pytest.mark.parametrize(
-        "raw",
-        [2, 3, 4, 5, (2, 3), (3, 4), (3, 5), (3, 7), (2, 3, 7), (2, 3, 5, 7), (4, 3, 5, 7)],
-    )
+    @pytest.mark.parametrize("raw", WITNESS_TUPLES)
     def test_families_match_subset_inclusion_exclusion(self, raw):
         for family in (
             PartitionClass.class_regular(raw),
@@ -394,3 +407,59 @@ class TestSecondWitness:
             assert len(got) == self.TRUNC + 1
             for d, (a, b) in enumerate(zip(got, expected)):
                 assert a == b, f"{family} differs at degree {d}"
+
+
+def _dense_witness(raw, kind, trunc):
+    # The family's series from the dense product form alone: the rising-pass
+    # product over the k no modulus divides, applied for the inferior family
+    # to the tail counting the k with head * k | d that no later modulus
+    # divides. Reads nothing from the library.
+    if kind == ALL:
+        return factor_product(trunc)
+    moduli = (raw,) if isinstance(raw, int) else raw
+    if kind != INFERIOR_REGULAR:
+        return factor_product(trunc, moduli)
+    head, rest = moduli[0], moduli[1:]
+    tail = [
+        sum(
+            1
+            for k in range(1, d // head + 1)
+            if d % (head * k) == 0 and all(k % t != 0 for t in rest)
+        )
+        for d in range(trunc + 1)
+    ]
+    return factor_product(trunc, moduli, tail)
+
+
+class TestDenseWitness:
+    TRUNC = 420
+
+    def test_all_partitions(self):
+        got = gf_class(PartitionClass.all_partitions(), 2000).coefficients
+        assert list(got) == _dense_witness(None, ALL, 2000)
+
+    @pytest.mark.parametrize("raw", WITNESS_TUPLES)
+    def test_families(self, raw):
+        for family in (
+            PartitionClass.class_regular(raw),
+            PartitionClass.regular(raw),
+            PartitionClass.inferior_regular(raw),
+        ):
+            got = list(gf_class(family, self.TRUNC).coefficients)
+            assert got == _dense_witness(raw, family.kind, self.TRUNC), str(family)
+
+    @example(None, ALL, 0)
+    @example((2, 3, 7), INFERIOR_REGULAR, 0)
+    @example((2, 3, 7), CLASS_REGULAR, 1)
+    @example((2, 3, 7), REGULAR, 41)
+    @given(
+        st.sampled_from(WITNESS_TUPLES),
+        st.sampled_from([ALL, REGULAR, CLASS_REGULAR, INFERIOR_REGULAR]),
+        st.integers(min_value=0, max_value=60),
+    )
+    def test_every_small_truncation(self, raw, kind, trunc):
+        # covers trunc 0 and 1, and truncations below the first exponent of
+        # a subset product's Euler factor, such as trunc < 42 for (2, 3, 7)
+        family = PartitionClass(kind, None if kind == ALL else raw)
+        got = list(gf_class(family, trunc).coefficients)
+        assert got == _dense_witness(raw, kind, trunc)
