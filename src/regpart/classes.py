@@ -17,11 +17,9 @@ Enumeration is in descending lexicographic order of the part sequences, so
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 
-from .partition import Partition, _check_int
+from .partition import Partition, _check_int, _Value
 
 __all__ = [
     "ALL", "CLASS_REGULAR", "INFERIOR_REGULAR", "REGULAR", "EmptyTuple", "ModulusTuple",
@@ -42,19 +40,22 @@ class NotCoprime(ValueError):
     """Two moduli in the tuple share a common factor."""
 
 
-@dataclass(frozen=True)
-class ModulusTuple:
+class ModulusTuple(_Value):
     """An ordered tuple of pairwise coprime moduli, each at least 2.
 
-    Order matters: the leading modulus bounds multiplicities in the regular
-    families, while the remaining ones forbid divisible part sizes.
+    Order matters: the leading modulus ``head`` bounds multiplicities in the
+    regular families, while the remaining ones, ``tail`` (possibly empty),
+    forbid divisible part sizes. ``tail_congruent`` is True when every tail
+    modulus is congruent to 1 modulo the head: the hypothesis under which
+    the preimage-counting identities for the insertion map hold, vacuously
+    true for a single modulus.
     """
 
-    moduli: tuple[int, ...]
+    _fields = ("moduli",)
+    __slots__ = _fields + ("head", "tail", "tail_congruent")
 
-    def __post_init__(self):
-        values = tuple(self.moduli)
-        object.__setattr__(self, "moduli", values)
+    def __init__(self, moduli: tuple[int, ...]):
+        values = tuple(moduli)
         if not values:
             raise EmptyTuple("need at least one modulus")
         for r in values:
@@ -63,26 +64,8 @@ class ModulusTuple:
             for b in values[i + 1:]:
                 if gcd(a, b) != 1:
                     raise NotCoprime(f"moduli {a} and {b} share a factor")
-
-    @property
-    def head(self) -> int:
-        """The leading modulus."""
-        return self.moduli[0]
-
-    @property
-    def tail(self) -> tuple[int, ...]:
-        """The moduli after the leading one (possibly empty)."""
-        return self.moduli[1:]
-
-    @cached_property
-    def tail_congruent(self) -> bool:
-        """True when every tail modulus is congruent to 1 modulo the head.
-
-        This is the hypothesis under which the preimage-counting identities
-        for the insertion map hold; it is vacuously true for a single
-        modulus.
-        """
-        return all(t % self.head == 1 for t in self.tail)
+        head, tail = values[0], values[1:]
+        self._fill(values, head, tail, all(t % head == 1 for t in tail))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.moduli)
@@ -111,20 +94,17 @@ INFERIOR_REGULAR = "inferior-regular"
 _KINDS = (ALL, REGULAR, CLASS_REGULAR, INFERIOR_REGULAR)
 
 
-@dataclass(frozen=True)
-class PartitionClass:
+class PartitionClass(_Value):
     """One of the partition families, tagged with its moduli when restricted."""
 
-    kind: str
-    moduli: ModulusTuple | None = None
+    __slots__ = _fields = ("kind", "moduli")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown partition class kind {self.kind!r}")
-        if (self.moduli is None) != (self.kind == ALL):
+    def __init__(self, kind: str, moduli: ModulusTuple | None = None):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown partition class kind {kind!r}")
+        if (moduli is None) != (kind == ALL):
             raise ValueError("moduli must be given exactly for the restricted kinds")
-        if self.moduli is not None and not isinstance(self.moduli, ModulusTuple):
-            object.__setattr__(self, "moduli", validate_tuple(self.moduli))
+        self._fill(kind, None if moduli is None else validate_tuple(moduli))
 
     @classmethod
     def all_partitions(cls) -> PartitionClass:

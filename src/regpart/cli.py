@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import traceback
 
@@ -43,11 +44,15 @@ class UsageError(ValueError):
 _DOMAIN_ERRORS = (EmptyTuple, TooSmall, NotCoprime, NotRegular, UsageError)
 
 
+# an optional sign and ASCII digits, with surrounding whitespace; int() alone
+# would also take underscores and non-ASCII digits
+_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
 def _ints(pieces, what: str, text: str) -> list[int]:
-    try:
-        return [int(piece) for piece in pieces]
-    except ValueError:
-        raise UsageError(f"cannot parse {what} {text!r}") from None
+    if not all(_INT.fullmatch(piece) for piece in pieces):
+        raise UsageError(f"cannot parse {what} {text!r}")
+    return [int(piece) for piece in pieces]
 
 
 def _parse_moduli(text: str) -> ModulusTuple:

@@ -19,8 +19,6 @@ one target at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classes import (
     ModulusTuple,
     PartitionClass,
@@ -28,7 +26,7 @@ from .classes import (
     is_member,
     validate_tuple,
 )
-from .partition import Partition, _check_int, _check_residue
+from .partition import Partition, _check_int, _check_residue, _set, _Value
 
 __all__ = [
     "MERGE", "SPLIT", "BijectionTriple", "GlaisherTrace", "InvalidTriple", "NotRegular",
@@ -54,8 +52,7 @@ MERGE = "merge"
 SPLIT = "split"
 
 
-@dataclass(frozen=True)
-class GlaisherTrace:
+class GlaisherTrace(_Value):
     """A replayable record of one run of the correspondence.
 
     Each step is ``(op, k)`` where a merge turns k^r into r*k and a split
@@ -63,10 +60,12 @@ class GlaisherTrace:
     the class-regular partition at the class-regular end of the run.
     """
 
-    start: Partition
-    end: Partition
-    modulus: int
-    steps: tuple[tuple[str, int], ...]
+    __slots__ = _fields = ("start", "end", "modulus", "steps")
+
+    def __init__(
+        self, start: Partition, end: Partition, modulus: int, steps: tuple[tuple[str, int], ...]
+    ):
+        self._fill(start, end, modulus, steps)
 
     @property
     def count(self) -> int:
@@ -182,15 +181,19 @@ def _factor(value: int, bases) -> tuple[int, int]:
     return block, cofactor
 
 
-@dataclass(frozen=True)
-class BijectionTriple:
+class BijectionTriple(_Value):
     """A class-regular partition with a marked run: a part size congruent to
     the chosen residue and a number of copies of it, between 1 and its
     multiplicity."""
 
-    partition: Partition
-    part: int
-    copies: int
+    __slots__ = _fields = ("partition", "part", "copies")
+
+    def __init__(self, partition: Partition, part: int, copies: int):
+        # slot by slot, not through _fill: insertion_preimages builds and
+        # hashes one per candidate preimage
+        _set(self, "partition", partition)
+        _set(self, "part", part)
+        _set(self, "copies", copies)
 
 
 def _merge_end(runs, head: int) -> dict[int, int]:

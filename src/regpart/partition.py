@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Mapping
+from operator import attrgetter
 
 __all__ = ["Partition"]
 
@@ -29,6 +30,50 @@ def _check_residue(value, modulus: int, what: str, error=ValueError) -> None:
     _check_int(value, 1, what, error)
     if value > modulus - 1:
         raise error(f"{what} {value} not in 1..{modulus - 1}")
+
+
+_set = object.__setattr__
+
+
+class _Value:
+    # Base of the package's immutable records. A subclass lists its
+    # constructor's fields, in order, in _fields and __slots__ (where any
+    # value derived at construction follows them); its __init__ fills every
+    # slot through _fill, or _set on a hot path. Equality and hash go by the
+    # fields, between instances of one class only; repr reads
+    # Name(field=value, ...). Pickle and copy rebuild through the
+    # constructor, since restoring slots would go through __setattr__.
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._key = property(attrgetter(*cls._fields))
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            _set(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({pairs})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Partition:

@@ -19,8 +19,6 @@ flag are properties derived from them, so it cannot disagree with its counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classes import (
     INFERIOR_REGULAR,
     ModulusTuple,
@@ -31,7 +29,7 @@ from .classes import (
     validate_tuple,
 )
 from .glaisher import merge_counts
-from .partition import Partition, _check_int, _check_residue
+from .partition import Partition, _check_int, _check_residue, _Value
 from .qseries import TruncatedSeries, gf_class
 
 __all__ = [
@@ -59,8 +57,7 @@ def count_repeated_sizes(partition: Partition, modulus: int, threshold: int) -> 
     return sum(1 for _, mult in partition.runs if mult >= threshold)
 
 
-@dataclass(frozen=True)
-class XYCReport:
+class XYCReport(_Value):
     """Aggregated statistics for one modulus tuple and one total size.
 
     ``per_residue`` maps each residue j to (X, Y, X - Y) where X sums the
@@ -70,11 +67,13 @@ class XYCReport:
     ``inferior_count`` the size of the inferior-regular family.
     """
 
-    moduli: ModulusTuple
-    n: int
-    per_residue: dict[int, tuple[int, int, int]]
-    operation_total: int
-    inferior_count: int
+    __slots__ = _fields = ("moduli", "n", "per_residue", "operation_total", "inferior_count")
+
+    def __init__(
+        self, moduli: ModulusTuple, n: int, per_residue: dict[int, tuple[int, int, int]],
+        operation_total: int, inferior_count: int,
+    ):
+        self._fill(moduli, n, per_residue, operation_total, inferior_count)
 
     @property
     def hypothesis_holds(self) -> bool:
@@ -122,21 +121,22 @@ def aggregate(moduli: ModulusTuple | int, n: int) -> XYCReport:
     )
 
 
-@dataclass(frozen=True)
-class XYCRow:
+class XYCRow(_Value):
     """One residue of an XYCReport, flattened for reporting.
 
     ``ok`` states that the difference X - Y, the merge-operation total, and
     the inferior-regular count all agree.
     """
 
-    moduli: ModulusTuple
-    n: int
-    residue: int
-    x_total: int
-    y_total: int
-    operation_total: int
-    inferior_count: int
+    __slots__ = _fields = (
+        "moduli", "n", "residue", "x_total", "y_total", "operation_total", "inferior_count",
+    )
+
+    def __init__(
+        self, moduli: ModulusTuple, n: int, residue: int, x_total: int, y_total: int,
+        operation_total: int, inferior_count: int,
+    ):
+        self._fill(moduli, n, residue, x_total, y_total, operation_total, inferior_count)
 
     @property
     def difference(self) -> int:
@@ -159,8 +159,7 @@ def verify_xyc(moduli: ModulusTuple | int, n: int) -> tuple[XYCRow, ...]:
     )
 
 
-@dataclass(frozen=True)
-class LengthCheck:
+class LengthCheck(_Value):
     """Total lengths of the two families of partitions of n, for a single
     modulus, against the merge-operation total.
 
@@ -168,11 +167,15 @@ class LengthCheck:
     length sums must differ by (modulus - 1) times the operation total.
     """
 
-    modulus: int
-    n: int
-    class_regular_length_sum: int
-    regular_length_sum: int
-    operation_total: int
+    __slots__ = _fields = (
+        "modulus", "n", "class_regular_length_sum", "regular_length_sum", "operation_total",
+    )
+
+    def __init__(
+        self, modulus: int, n: int, class_regular_length_sum: int, regular_length_sum: int,
+        operation_total: int,
+    ):
+        self._fill(modulus, n, class_regular_length_sum, regular_length_sum, operation_total)
 
     @property
     def difference(self) -> int:
@@ -203,8 +206,7 @@ def verify_length_identity(modulus: int, n: int) -> LengthCheck:
     )
 
 
-@dataclass(frozen=True)
-class SeriesCheck:
+class SeriesCheck(_Value):
     """Outcome of checking a family's series against direct enumeration.
 
     ``count_mismatch`` is the first degree where a coefficient fails to
@@ -213,10 +215,13 @@ class SeriesCheck:
     from the summed merge-operation counts over the class-regular family.
     """
 
-    family: PartitionClass
-    series: TruncatedSeries
-    count_mismatch: int | None
-    operations_mismatch: int | None
+    __slots__ = _fields = ("family", "series", "count_mismatch", "operations_mismatch")
+
+    def __init__(
+        self, family: PartitionClass, series: TruncatedSeries, count_mismatch: int | None,
+        operations_mismatch: int | None,
+    ):
+        self._fill(family, series, count_mismatch, operations_mismatch)
 
     @property
     def truncation(self) -> int:

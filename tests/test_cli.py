@@ -683,6 +683,34 @@ class TestErrorMapping:
         assert code == 2
         assert "UsageError" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--scope", "xyc", "--moduli", "\uff13", "--n", "10"],
+             "cannot parse moduli '\uff13'"),
+            (["verify", "--scope", "xyc", "--moduli", "3", "--n", "1_0"],
+             "cannot parse size '1_0'"),
+            (["verify", "--scope", "xyc", "--moduli", "3", "--n", "0..\u0661"],
+             "cannot parse range '0..\u0661'"),
+            (["verify", "--scope", "length", "--moduli", "3", "--n", "+-4"],
+             "cannot parse size '+-4'"),
+            (["enumerate", "--class", "cp", "--moduli", "3_0", "--n", "4"],
+             "cannot parse moduli '3_0'"),
+            (["enumerate", "--class", "all", "--n", "0x4"], "cannot parse size '0x4'"),
+            (["glaisher", "--parts", "2,1_0", "--r", "2"], "cannot parse parts '2,1_0'"),
+        ],
+        ids=["fullwidth-modulus", "underscore-size", "arabic-indic-range", "two-signs",
+             "underscore-modulus", "hex-size", "underscore-part"],
+    )
+    def test_integers_are_a_sign_and_ascii_digits(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: UsageError: {message}\n")
+
+    def test_integers_may_carry_a_sign_and_spaces(self, capsys):
+        spaced = run(capsys, "verify", "--scope", "xyc", "--moduli", " 3, +5 ", "--n", " +2..4 ")
+        assert spaced == run(capsys, "verify", "--scope", "xyc", "--moduli", "3,5", "--n", "2..4")
+        assert spaced[0] == 0 and spaced[1]
+
     def test_internal_value_error_exits_3_with_traceback(self, capsys, monkeypatch):
         # library errors that no user input can reach are internal faults too
         for error in (ValueError, NonInvertible, InvalidTriple):
