@@ -192,7 +192,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_glaisher(args) -> int:
     partition = _parse_parts(args.parts)
-    modulus = args.modulus
+    (modulus,) = _ints([args.modulus], "modulus", args.modulus)
     trace = (
         glaisher_inverse(partition, modulus)
         if args.inverse
@@ -257,6 +257,7 @@ def checks_exit_code(checks) -> int:
 
 def _cmd_verify(args) -> int:
     scope = args.scope
+    (trunc,) = _ints([args.trunc], "truncation", args.trunc)
     sizes: list[int] = []
     if scope != "series":
         if args.n is None:
@@ -269,9 +270,9 @@ def _cmd_verify(args) -> int:
     if scope == "length" and len(mt) > 1:
         raise UsageError("length scope needs a single modulus")
     if scope in ("series", "all"):
-        if args.trunc < 0:
-            raise UsageError(f"truncation must be nonnegative, got {args.trunc}")
-        _guard("truncation ", args.trunc, MAX_PLAIN_TRUNC, args.force)
+        if trunc < 0:
+            raise UsageError(f"truncation must be nonnegative, got {trunc}")
+        _guard("truncation ", trunc, MAX_PLAIN_TRUNC, args.force)
 
     families = [
         PartitionClass.all_partitions(),
@@ -286,7 +287,7 @@ def _cmd_verify(args) -> int:
          XYC_COLUMNS, xyc_exit_code),
         ("length", (verify_length_identity(mt.head, n) for n in sizes),
          LENGTH_COLUMNS, checks_exit_code),
-        ("series", (verify_series_vs_enumeration(f, args.trunc) for f in families),
+        ("series", (verify_series_vs_enumeration(f, trunc) for f in families),
          SERIES_COLUMNS, checks_exit_code),
     ]
     exit_code = 0
@@ -323,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gl = sub.add_parser("glaisher", help="run the merge map on one partition")
     p_gl.add_argument("--parts", required=True, help="comma separated parts, may be empty")
-    p_gl.add_argument("--r", "--modulus", dest="modulus", type=int, required=True)
+    p_gl.add_argument("--r", "--modulus", dest="modulus", required=True)
     p_gl.add_argument("--inverse", action="store_true")
     p_gl.add_argument("--format", choices=["plain", "csv", "jsonl"], default="plain")
     p_gl.set_defaults(handler=_cmd_glaisher)
@@ -332,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--scope", choices=["xyc", "length", "series", "all"], required=True)
     p_ver.add_argument("--moduli", help="comma separated, e.g. 3 or 3,5")
     p_ver.add_argument("--n", help="size or inclusive range lo..hi")
-    p_ver.add_argument("--trunc", type=int, default=60, help="series truncation degree")
+    p_ver.add_argument("--trunc", default="60", help="series truncation degree")
     p_ver.add_argument("--format", choices=["plain", "csv", "jsonl"], default="plain")
     p_ver.add_argument("--force", action="store_true")
     p_ver.set_defaults(handler=_cmd_verify)

@@ -15,7 +15,6 @@ from oracles import in_class_regular, in_inferior, in_regular, partitions_desc
 
 from regpart import (
     InvalidTriple,
-    NonInvertible,
     Partition,
     PartitionClass,
     TruncatedSeries,
@@ -303,6 +302,24 @@ class TestVerifySeries:
         )
         assert code == 2
 
+    def test_truncation_zero_jsonl(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--scope", "series", "--moduli", "2,3", "--trunc", "0",
+            "--format", "jsonl",
+        )
+        assert (code, err) == (0, "")
+        checks = '"count_mismatch": null, "operations_mismatch": null'
+        assert out == (
+            '{"family": "all", "moduli": [], "trunc": 0, ' + checks
+            + ', "regular_differs_at": null, "coefficients": [1], "pass": true}\n'
+            '{"family": "class-regular", "moduli": [2, 3], "trunc": 0, ' + checks
+            + ', "regular_differs_at": null, "coefficients": [1], "pass": true}\n'
+            '{"family": "regular", "moduli": [2, 3], "trunc": 0, ' + checks
+            + ', "regular_differs_at": null, "coefficients": [1], "pass": true}\n'
+            '{"family": "inferior-regular", "moduli": [2, 3], "trunc": 0, ' + checks
+            + ', "regular_differs_at": 0, "coefficients": [0], "pass": true}\n'
+        )
+
 
 class TestVerifyAll:
     def test_single_modulus_runs_everything(self, capsys):
@@ -323,6 +340,25 @@ class TestVerifyAll:
         assert code == 0
         assert "length: skipped" in err
         assert "family=regular" in out
+
+    def test_size_and_truncation_zero(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--scope", "all", "--moduli", "3", "--n", "0", "--trunc", "0"
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "moduli=3 n=0 j=1 X=0 Y=0 diff=0 c=0 inferior=0 hypothesis=true PASS\n"
+            "moduli=3 n=0 j=2 X=0 Y=0 diff=0 c=0 inferior=0 hypothesis=true PASS\n"
+            "modulus=3 n=0 class_regular_lengths=0 regular_lengths=0 operations=0 PASS\n"
+            "family=all moduli= trunc=0 count_mismatch=none operations_mismatch=none "
+            "regular_differs_at=none PASS\n"
+            "family=class-regular moduli=3 trunc=0 count_mismatch=none "
+            "operations_mismatch=none regular_differs_at=none PASS\n"
+            "family=regular moduli=3 trunc=0 count_mismatch=none operations_mismatch=none "
+            "regular_differs_at=none PASS\n"
+            "family=inferior-regular moduli=3 trunc=0 count_mismatch=none "
+            "operations_mismatch=none regular_differs_at=0 PASS\n"
+        )
 
     @pytest.mark.parametrize(
         "trunc, rule",
@@ -698,9 +734,13 @@ class TestErrorMapping:
              "cannot parse moduli '3_0'"),
             (["enumerate", "--class", "all", "--n", "0x4"], "cannot parse size '0x4'"),
             (["glaisher", "--parts", "2,1_0", "--r", "2"], "cannot parse parts '2,1_0'"),
+            (["glaisher", "--parts", "1,1,1", "--r", "\uff13"], "cannot parse modulus '\uff13'"),
+            (["verify", "--scope", "series", "--moduli", "3", "--trunc", "0_3"],
+             "cannot parse truncation '0_3'"),
         ],
         ids=["fullwidth-modulus", "underscore-size", "arabic-indic-range", "two-signs",
-             "underscore-modulus", "hex-size", "underscore-part"],
+             "underscore-modulus", "hex-size", "underscore-part", "fullwidth-r",
+             "underscore-trunc"],
     )
     def test_integers_are_a_sign_and_ascii_digits(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -713,7 +753,7 @@ class TestErrorMapping:
 
     def test_internal_value_error_exits_3_with_traceback(self, capsys, monkeypatch):
         # library errors that no user input can reach are internal faults too
-        for error in (ValueError, NonInvertible, InvalidTriple):
+        for error in (ValueError, InvalidTriple):
             def broken(moduli, n):
                 raise error("internal fault")
 

@@ -7,17 +7,13 @@ from regpart import (
     InvalidTriple,
     Partition,
     PartitionClass,
-    TruncatedSeries,
     aggregate,
     count_class,
     count_congruent_parts,
     count_repeated_sizes,
     enumerate_class,
     enumerate_runs,
-    euler_product,
-    geometric_tail,
     gf_class,
-    gf_tuple_inferior,
     insertion_map,
     insertion_preimages,
     verify_length_identity,
@@ -137,15 +133,10 @@ SIZE_ENTRY_POINTS = {
     "verify_length_identity": lambda n: verify_length_identity(3, n),
     "insertion_preimages": lambda n: insertion_preimages(3, 1, n, Partition()),
     "gf_class": lambda n: gf_class(PartitionClass.class_regular(3), n),
-    "gf_tuple_inferior": lambda n: gf_tuple_inferior(3, n),
-    "euler_product": lambda n: euler_product(1, n),
-    "geometric_tail": lambda n: geometric_tail(2, n),
     "verify_series_vs_enumeration": lambda n: verify_series_vs_enumeration(
         PartitionClass.all_partitions(), n
     ),
     "merge_counts": lambda n: merge_counts(3, n),
-    "TruncatedSeries.zero": TruncatedSeries.zero,
-    "TruncatedSeries.one": TruncatedSeries.one,
 }
 
 

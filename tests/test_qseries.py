@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import combinations
 from math import prod
 
@@ -9,8 +8,6 @@ from hypothesis import strategies as st
 from oracles import (
     factor_product,
     in_inferior,
-    naive_inverse,
-    naive_mul,
     partitions_desc,
     pentagonal_coefficients,
 )
@@ -18,28 +15,19 @@ from regpart import (
     ALL,
     CLASS_REGULAR,
     INFERIOR_REGULAR,
-    NonInvertible,
     NotCoprime,
     PartitionClass,
     REGULAR,
     TruncatedSeries,
     count_class,
-    euler_product,
-    geometric_tail,
     gf_class,
-    gf_tuple_inferior,
     validate_tuple,
     verify_series_vs_enumeration,
 )
+from regpart.qseries import _pentagonal
 
 # one modulus, pairs, triples and a quadruple, including a non-prime head
 WITNESS_TUPLES = [2, 3, 4, 5, (2, 3), (3, 4), (3, 5), (3, 7), (2, 3, 7), (2, 3, 5, 7), (4, 3, 5, 7)]
-
-coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=16)
-series_values = coeff_lists.map(TruncatedSeries)
-invertible_values = st.tuples(st.sampled_from([1, -1]), coeff_lists).map(
-    lambda pair: TruncatedSeries([pair[0], *pair[1]])
-)
 
 
 class TestSeriesBasics:
@@ -67,10 +55,6 @@ class TestSeriesBasics:
         with pytest.raises(ValueError, match="is not an integer"):
             TruncatedSeries([3, 0, -2])[degree]
 
-    def test_constants(self):
-        assert TruncatedSeries.zero(3).coefficients == (0, 0, 0, 0)
-        assert TruncatedSeries.one(3).coefficients == (1, 0, 0, 0)
-
     def test_equality_and_hash(self):
         assert TruncatedSeries([1, 2]) == TruncatedSeries([1, 2])
         assert TruncatedSeries([1, 2]) != TruncatedSeries([1, 2, 0])
@@ -80,105 +64,23 @@ class TestSeriesBasics:
         assert repr(TruncatedSeries([1, -1])) == "TruncatedSeries([1, -1])"
 
 
-class TestArithmetic:
-    def test_add_sub(self):
-        f = TruncatedSeries([1, 2, 3])
-        g = TruncatedSeries([0, 1, -1])
-        assert (f + g).coefficients == (1, 3, 2)
-        assert (f - g).coefficients == (1, 1, 4)
-        assert (-g).coefficients == (0, -1, 1)
-
-    def test_mul(self):
-        f = TruncatedSeries([1, -1, 0])
-        g = TruncatedSeries([1, 1, 1])
-        assert (f * g).coefficients == (1, 0, 0)
-
-    def test_mixed_truncations_shrink(self):
-        f = TruncatedSeries([1, 1, 1, 1])
-        g = TruncatedSeries([1, 1])
-        assert (f + g).truncation == 1
-        assert (f - g).truncation == 1
-        assert (f * g).truncation == 1
-
-    def test_subtracting_a_non_series_raises(self):
-        with pytest.raises(TypeError):
-            TruncatedSeries([1, 1]) - 1
-
-    @given(series_values, series_values)
-    def test_mul_commutes(self, f, g):
-        assert f * g == g * f
-
-    @given(series_values, series_values, series_values)
-    def test_mul_associates(self, f, g, h):
-        assert (f * g) * h == f * (g * h)
-
-    @given(series_values, series_values, series_values)
-    def test_mul_distributes(self, f, g, h):
-        n = min(f.truncation, g.truncation, h.truncation)
-        lhs = f * (g + h)
-        rhs = f * g + f * h
-        assert lhs.coefficients[:n + 1] == rhs.coefficients[:n + 1]
-
-    @given(series_values)
-    def test_one_is_identity(self, f):
-        assert f * TruncatedSeries.one(f.truncation) == f
-
-    @given(series_values, series_values)
-    def test_mul_matches_naive_convolution(self, f, g):
-        n = min(f.truncation, g.truncation)
-        assert list((f * g).coefficients) == naive_mul(f.coefficients, g.coefficients, n)
-
-
-class TestInversion:
-    def test_geometric(self):
-        f = TruncatedSeries([1, -1, 0, 0, 0])
-        assert f.invert().coefficients == (1, 1, 1, 1, 1)
-
-    def test_negative_unit(self):
-        f = TruncatedSeries([-1, 1])
-        assert f.invert().coefficients == (-1, -1)
-        assert f * f.invert() == TruncatedSeries.one(1)
-
-    def test_rejects_other_constants(self):
-        with pytest.raises(NonInvertible):
-            TruncatedSeries([2, 1]).invert()
-        with pytest.raises(NonInvertible):
-            TruncatedSeries([0, 1]).invert()
-
-    @given(invertible_values)
-    def test_product_with_inverse_is_one(self, f):
-        assert f * f.invert() == TruncatedSeries.one(f.truncation)
-
-    @given(invertible_values)
-    def test_involutive(self, f):
-        assert f.invert().invert() == f
-
-    @given(invertible_values)
-    def test_matches_rational_solve(self, f):
-        expected = naive_inverse(f.coefficients, f.truncation)
-        got = f.invert()
-        assert [Fraction(c) for c in got.coefficients] == expected
+def _euler_coefficients(step, n):
+    # E(step) up to degree n, written out from the pentagonal terms alone
+    coeffs = [0] * (n + 1)
+    for exponent, sign in _pentagonal(step, n):
+        coeffs[exponent] += sign
+    return coeffs
 
 
 class TestEulerProduct:
     def test_pentagonal_start(self):
-        assert euler_product(1, 5).coefficients == (1, -1, -1, 0, 0, 1)
+        assert _euler_coefficients(1, 5) == [1, -1, -1, 0, 0, 1]
 
     def test_pentagonal_theorem(self):
-        assert list(euler_product(1, 30).coefficients) == pentagonal_coefficients(30)
+        assert _euler_coefficients(1, 30) == pentagonal_coefficients(30)
 
     def test_beyond_truncation(self):
-        assert euler_product(7, 5) == TruncatedSeries.one(5)
-
-    def test_partition_counts_from_inverse(self):
-        inverse = euler_product(1, 12).invert()
-        assert inverse.coefficients == (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            euler_product(0, 5)
-        with pytest.raises(ValueError):
-            euler_product(2, -1)
+        assert _euler_coefficients(7, 5) == [1, 0, 0, 0, 0, 0]
 
 
 class TestEulerClosedForm:
@@ -187,28 +89,10 @@ class TestEulerClosedForm:
         for n in range(301):
             expected = [0] * (n + 1)
             expected[::step] = pentagonal_coefficients(n // step)
-            assert list(euler_product(step, n).coefficients) == expected
-
-
-class TestGeometricTail:
-    def test_marks_multiples(self):
-        assert geometric_tail(2, 9).coefficients == (0, 0, 1, 0, 1, 0, 1, 0, 1, 0)
-
-    def test_beyond_truncation(self):
-        assert geometric_tail(10, 5) == TruncatedSeries.zero(5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            geometric_tail(0, 5)
-
-    def test_agrees_with_series_quotient(self):
-        base = 3
-        f = TruncatedSeries([1 if d == base else 0 for d in range(12)])
-        quotient = f * TruncatedSeries(
-            [1 if d % base == 0 else 0 for d in range(12)]
-        )
-        # q^3 * (1 + q^3 + q^6 + ...) == the tail at 3
-        assert quotient == geometric_tail(base, 11)
+            assert _euler_coefficients(step, n) == expected
+            # the quotient stops at the first exponent above the degree
+            exponents = [exponent for exponent, _ in _pentagonal(step, n)]
+            assert exponents == sorted(exponents)
 
 
 class TestClassGeneratingFunctions:
@@ -243,35 +127,26 @@ class TestClassGeneratingFunctions:
         assert gf_class(family, 12)[n] == count_class(family, n)
 
 
+def _inferior(raw, trunc):
+    return gf_class(PartitionClass.inferior_regular(raw), trunc)
+
+
 class TestTupleInferior:
     def test_pair_golden_coefficient(self):
-        assert gf_tuple_inferior(validate_tuple((3, 5)), 5)[5] == 2
+        assert _inferior((3, 5), 5)[5] == 2
 
     def test_frozen_rows(self):
-        assert gf_tuple_inferior(validate_tuple((3, 5)), 10).coefficients == (
-            0, 0, 0, 1, 1, 2, 4, 6, 8, 12, 17,
-        )
-        assert gf_tuple_inferior(validate_tuple((2, 3)), 10).coefficients == (
-            0, 0, 1, 1, 3, 3, 4, 5, 8, 11, 13,
-        )
-
-    def test_single_modulus_reduction(self):
-        for r in (2, 3, 4, 5):
-            assert gf_tuple_inferior(validate_tuple(r), 20) == gf_class(
-                PartitionClass.inferior_regular(r), 20
-            )
-
-    def test_bare_int_is_a_single_modulus(self):
-        assert gf_tuple_inferior(3, 10) == gf_class(PartitionClass.inferior_regular(3), 10)
+        assert _inferior((3, 5), 10).coefficients == (0, 0, 0, 1, 1, 2, 4, 6, 8, 12, 17)
+        assert _inferior((2, 3), 10).coefficients == (0, 0, 1, 1, 3, 3, 4, 5, 8, 11, 13)
 
     def test_tuple_is_validated(self):
         with pytest.raises(NotCoprime):
-            gf_tuple_inferior((2, 4), 10)
+            PartitionClass.inferior_regular((2, 4))
 
     def test_counts_inferior_members_brute_force(self):
         for raw in ((2, 3), (3, 5)):
             mt = validate_tuple(raw)
-            series = gf_tuple_inferior(mt, 10)
+            series = _inferior(mt, 10)
             for n in range(11):
                 expected = sum(
                     1
@@ -282,10 +157,9 @@ class TestTupleInferior:
 
 
 def _tail_sum(bases, trunc):
-    total = TruncatedSeries.zero(trunc)
-    for base in bases:
-        total = total + geometric_tail(base, trunc)
-    return total
+    # the sum of q^b / (1 - q^b) over the bases: at degree d >= 1 it counts
+    # the bases that divide d
+    return [0] + [sum(1 for b in bases if d % b == 0) for d in range(1, trunc + 1)]
 
 
 class TestSeriesRewrites:
@@ -312,14 +186,15 @@ class TestSeriesRewrites:
         trunc = 40
         for raw in ((2, 3), (3, 5), (2, 3, 7)):
             mt = validate_tuple(raw)
-            total = TruncatedSeries.zero(trunc)
+            total = [0] * (trunc + 1)
             for size in range(len(mt.tail) + 1):
                 for combo in combinations(mt.tail, size):
                     block = mt.head * prod(combo)
                     inner = _tail_sum(
                         [block * k for k in range(1, trunc // block + 1)], trunc
                     )
-                    total = total + inner if size % 2 == 0 else total - inner
+                    sign = -1 if size % 2 else 1
+                    total = [t + sign * c for t, c in zip(total, inner)]
             direct = _tail_sum(
                 [
                     mt.head * k
@@ -362,53 +237,6 @@ class TestVerification:
         assert count_class(PartitionClass.regular(2), 3) == 2
 
 
-def _subset_inclusion_exclusion(family, trunc):
-    # The generating functions rebuilt from public primitives alone: per
-    # subset of the moduli an Euler product at the subset's product, direct
-    # for odd subsets and inverted for even ones, and for the inferior
-    # family a sum of geometric tails with alternating signs. It shares the
-    # subset quotient and the pentagonal terms with gf_class but not its
-    # sparse in-place arithmetic; _dense_witness below shares neither.
-    if family.kind == ALL:
-        return euler_product(1, trunc).invert()
-    mt = family.moduli
-    series = TruncatedSeries.one(trunc)
-    for size in range(len(mt) + 1):
-        for combo in combinations(mt, size):
-            factor = euler_product(prod(combo), trunc)
-            series = series * (factor if size % 2 else factor.invert())
-    if family.kind != INFERIOR_REGULAR:
-        return series
-    tails = TruncatedSeries.zero(trunc)
-    for size in range(len(mt.tail) + 1):
-        for combo in combinations(mt.tail, size):
-            block = mt.head * prod(combo)
-            inner = _tail_sum([block * k for k in range(1, trunc // block + 1)], trunc)
-            tails = tails - inner if size % 2 else tails + inner
-    return series * tails
-
-
-class TestSecondWitness:
-    TRUNC = 120
-
-    def test_all_matches_inverted_euler_product(self):
-        family = PartitionClass.all_partitions()
-        assert gf_class(family, self.TRUNC) == _subset_inclusion_exclusion(family, self.TRUNC)
-
-    @pytest.mark.parametrize("raw", WITNESS_TUPLES)
-    def test_families_match_subset_inclusion_exclusion(self, raw):
-        for family in (
-            PartitionClass.class_regular(raw),
-            PartitionClass.regular(raw),
-            PartitionClass.inferior_regular(raw),
-        ):
-            got = gf_class(family, self.TRUNC).coefficients
-            expected = _subset_inclusion_exclusion(family, self.TRUNC).coefficients
-            assert len(got) == self.TRUNC + 1
-            for d, (a, b) in enumerate(zip(got, expected)):
-                assert a == b, f"{family} differs at degree {d}"
-
-
 def _dense_witness(raw, kind, trunc):
     # The family's series from the dense product form alone: the rising-pass
     # product over the k no modulus divides, applied for the inferior family
@@ -432,7 +260,7 @@ def _dense_witness(raw, kind, trunc):
 
 
 class TestDenseWitness:
-    TRUNC = 420
+    TRUNCS = (120, 420)
 
     def test_all_partitions(self):
         got = gf_class(PartitionClass.all_partitions(), 2000).coefficients
@@ -445,8 +273,9 @@ class TestDenseWitness:
             PartitionClass.regular(raw),
             PartitionClass.inferior_regular(raw),
         ):
-            got = list(gf_class(family, self.TRUNC).coefficients)
-            assert got == _dense_witness(raw, family.kind, self.TRUNC), str(family)
+            for trunc in self.TRUNCS:
+                got = list(gf_class(family, trunc).coefficients)
+                assert got == _dense_witness(raw, family.kind, trunc), f"{family} at {trunc}"
 
     @example(None, ALL, 0)
     @example((2, 3, 7), INFERIOR_REGULAR, 0)
