@@ -6,6 +6,7 @@ rather than tautology.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 
 def partitions_desc(n, limit=None):
@@ -98,3 +99,23 @@ def factor_product(trunc, forbidden=(), tail=None):
                 coeffs[d] += coeffs[d - k]
     return coeffs
 
+
+def naive_mul(a, b, trunc):
+    out = [0] * (trunc + 1)
+    for i, x in enumerate(a[:trunc + 1]):
+        for j, y in enumerate(b[:trunc + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def naive_inverse(coeffs, trunc):
+    """Invert by solving the convolution triangularly over the rationals."""
+    out = [Fraction(0)] * (trunc + 1)
+    out[0] = Fraction(1, coeffs[0])
+    for d in range(1, trunc + 1):
+        acc = Fraction(0)
+        for k in range(1, d + 1):
+            if k < len(coeffs):
+                acc += coeffs[k] * out[d - k]
+        out[d] = -acc / coeffs[0]
+    return out

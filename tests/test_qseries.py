@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from oracles import (
     factor_product,
     in_inferior,
+    naive_inverse,
+    naive_mul,
     partitions_desc,
     pentagonal_coefficients,
 )
@@ -82,6 +84,10 @@ class TestEulerProduct:
     def test_beyond_truncation(self):
         assert _euler_coefficients(7, 5) == [1, 0, 0, 0, 0, 0]
 
+    def test_partition_counts_from_inverse(self):
+        inverse = naive_inverse(_euler_coefficients(1, 12), 12)
+        assert inverse == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+
 
 class TestEulerClosedForm:
     @pytest.mark.parametrize("step", range(1, 8))
@@ -138,6 +144,10 @@ class TestTupleInferior:
     def test_frozen_rows(self):
         assert _inferior((3, 5), 10).coefficients == (0, 0, 0, 1, 1, 2, 4, 6, 8, 12, 17)
         assert _inferior((2, 3), 10).coefficients == (0, 0, 1, 1, 3, 3, 4, 5, 8, 11, 13)
+
+    def test_bare_int_is_a_single_modulus(self):
+        assert _inferior(3, 10) == _inferior((3,), 10)
+        assert _inferior(3, 10).coefficients == (0, 0, 0, 1, 1, 2, 4, 6, 9, 13, 19)
 
     def test_tuple_is_validated(self):
         with pytest.raises(NotCoprime):
@@ -235,6 +245,67 @@ class TestVerification:
         # family of 2 has one member but the regular family two
         assert gf_class(PartitionClass.inferior_regular(2), 3)[3] == 1
         assert count_class(PartitionClass.regular(2), 3) == 2
+
+
+def _spread(coeffs, step, trunc):
+    # f(q^step) up to q^trunc
+    out = [0] * (trunc + 1)
+    out[::step] = coeffs[: trunc // step + 1]
+    return out
+
+
+def _subset_inclusion_exclusion(family, trunc):
+    # The generating functions rebuilt over integer lists: per subset of the
+    # moduli an Euler product at the subset's product, direct for odd
+    # subsets and inverted for even ones, and for the inferior family a sum
+    # of geometric tails with alternating signs. E(s) is the oracle's
+    # pentagonal coefficients spread to step s, and 1 / E(s) the inverted
+    # E(1) spread the same way. It shares the subset quotient with gf_class
+    # but neither its pentagonal rule nor its sparse in-place arithmetic;
+    # _dense_witness below shares neither.
+    euler = pentagonal_coefficients(trunc)
+    # E(1) has constant term 1, so its inverse is integral
+    inverse = [int(c) for c in naive_inverse(euler, trunc)]
+    if family.kind == ALL:
+        return inverse
+    mt = family.moduli
+    series = [1] + [0] * trunc
+    for size in range(len(mt) + 1):
+        for combo in combinations(mt, size):
+            factor = _spread(inverse if size % 2 == 0 else euler, prod(combo), trunc)
+            series = naive_mul(series, factor, trunc)
+    if family.kind != INFERIOR_REGULAR:
+        return series
+    tails = [0] * (trunc + 1)
+    for size in range(len(mt.tail) + 1):
+        for combo in combinations(mt.tail, size):
+            block = mt.head * prod(combo)
+            inner = _tail_sum([block * k for k in range(1, trunc // block + 1)], trunc)
+            sign = -1 if size % 2 else 1
+            tails = [t + sign * c for t, c in zip(tails, inner)]
+    return naive_mul(series, tails, trunc)
+
+
+class TestSecondWitness:
+    TRUNC = 120
+
+    def test_all_matches_inverted_euler_product(self):
+        family = PartitionClass.all_partitions()
+        got = gf_class(family, self.TRUNC).coefficients
+        assert list(got) == _subset_inclusion_exclusion(family, self.TRUNC)
+
+    @pytest.mark.parametrize("raw", WITNESS_TUPLES)
+    def test_families_match_subset_inclusion_exclusion(self, raw):
+        for family in (
+            PartitionClass.class_regular(raw),
+            PartitionClass.regular(raw),
+            PartitionClass.inferior_regular(raw),
+        ):
+            got = gf_class(family, self.TRUNC).coefficients
+            expected = _subset_inclusion_exclusion(family, self.TRUNC)
+            assert len(got) == self.TRUNC + 1
+            for d, (a, b) in enumerate(zip(got, expected)):
+                assert a == b, f"{family} differs at degree {d}"
 
 
 def _dense_witness(raw, kind, trunc):
