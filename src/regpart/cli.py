@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import re
@@ -32,7 +33,7 @@ from .classes import (
 )
 from .glaisher import NotRegular, glaisher_forward, glaisher_inverse
 from .partition import Partition
-from .stats import verify_length_identity, verify_series_vs_enumeration, verify_xyc
+from .stats import aggregate, verify_length_identity, verify_series_vs_enumeration, verify_xyc
 
 MAX_PLAIN_N = 200
 MAX_PLAIN_TRUNC = 500
@@ -280,12 +281,14 @@ def _cmd_verify(args) -> int:
         PartitionClass.regular(mt),
         PartitionClass.inferior_regular(mt),
     ]
+    # one report per size feeds both the xyc and the length section
+    xyc_reports, length_reports = itertools.tee(aggregate(mt, n) for n in sizes)
     # (name, results, columns, exit rule); every results entry is lazy, so
     # each row is written as soon as its size or family is done
     sections = [
-        ("xyc", (row for n in sizes for row in verify_xyc(mt, n)),
+        ("xyc", (row for report in xyc_reports for row in verify_xyc(report)),
          XYC_COLUMNS, xyc_exit_code),
-        ("length", (verify_length_identity(mt.head, n) for n in sizes),
+        ("length", (verify_length_identity(report) for report in length_reports),
          LENGTH_COLUMNS, checks_exit_code),
         ("series", (verify_series_vs_enumeration(f, trunc) for f in families),
          SERIES_COLUMNS, checks_exit_code),

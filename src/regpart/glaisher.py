@@ -30,8 +30,8 @@ from .partition import Partition, _check_int, _check_residue, _set, _Value
 
 __all__ = [
     "MERGE", "SPLIT", "BijectionTriple", "GlaisherTrace", "InvalidTriple", "NotRegular",
-    "PreimageCountMismatch", "factor_out", "glaisher_forward",
-    "glaisher_inverse", "insertion_map", "insertion_preimages",
+    "PreimageCountMismatch", "glaisher_forward", "glaisher_inverse", "insertion_map",
+    "insertion_preimages",
 ]
 
 
@@ -157,21 +157,10 @@ def glaisher_inverse(partition: Partition, modulus: int) -> GlaisherTrace:
     ))
 
 
-def factor_out(value: int, bases) -> tuple[int, int]:
-    """Split value into (block, cofactor) over the given coprime bases.
-
-    The block is the largest divisor of value that is a product of powers of
-    the bases; the cofactor is value divided by the block, so no base
-    divides the cofactor. With no bases the block is 1.
-    """
-    _check_int(value, 1, "value to factor")
-    for base in bases:
-        _check_int(base, 2, "modulus", TooSmall)
-    return _factor(value, bases)
-
-
 def _factor(value: int, bases) -> tuple[int, int]:
-    # factor_out on checked input
+    # Split a positive value into (block, cofactor) over coprime bases: the
+    # block is the largest divisor of value that is a product of powers of
+    # the bases, so no base divides the cofactor. With no bases it is 1.
     block = 1
     cofactor = value
     for base in bases:

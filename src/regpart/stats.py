@@ -6,15 +6,21 @@ the distinct sizes that occur at least a threshold number of times. Summed
 over all partitions of n in their families, the two counts differ by exactly
 the total number of merge operations, which in turn equals the number of
 inferior-regular partitions of n. The identity needs every tail modulus to
-be congruent to 1 modulo the leading one; each report reads whether that
-hypothesis holds from its moduli, so a failure can be told apart from a
-counterexample. Two folds per size read run tuples: the class-regular fold
-gives X and the merge operations, counted in closed form from the run
-multiplicities without simulating any merge, and the regular fold gives Y.
-The identity checks read both; the series check, which compares each family
-generating function with enumeration, reads only the class-regular fold.
-Each result type stores only counts; its verdict, differences and hypothesis
-flag are properties derived from them, so it cannot disagree with its counts.
+be congruent to 1 modulo the leading one; each report and row reads whether
+that hypothesis holds from its moduli, so a failure can be told apart from a
+counterexample.
+
+``aggregate`` is the one producer of the per-size record, an ``XYCReport``:
+one pass over the class-regular family gives X per residue and the merge
+operations, counted in closed form from the run multiplicities without
+simulating any merge, and one pass over the regular family gives Y. The
+xyc and length checks are views of that record, so a caller that runs both
+at one size walks each family once. The xyc check adds the inferior-regular
+count, which the length check does not need. The series check, which
+compares each family generating function with enumeration, reads only the
+class-regular fold. Each result type stores only counts; its verdict,
+differences and hypothesis flag are properties derived from them, so it
+cannot disagree with its counts.
 """
 
 from __future__ import annotations
@@ -23,57 +29,38 @@ from .classes import (
     INFERIOR_REGULAR,
     ModulusTuple,
     PartitionClass,
-    TooSmall,
     count_class,
     enumerate_runs,
     validate_tuple,
 )
 from .glaisher import merge_counts
-from .partition import Partition, _check_int, _check_residue, _Value
+from .partition import _check_int, _Value
 from .qseries import TruncatedSeries, gf_class
 
 __all__ = [
-    "LengthCheck", "SeriesCheck", "XYCReport", "XYCRow", "aggregate",
-    "count_congruent_parts", "count_repeated_sizes", "verify_length_identity",
+    "LengthCheck", "SeriesCheck", "XYCReport", "XYCRow", "aggregate", "verify_length_identity",
     "verify_series_vs_enumeration", "verify_xyc",
 ]
 
 
-def count_congruent_parts(partition: Partition, modulus: int, residue: int) -> int:
-    """Parts congruent to the residue modulo the modulus, with multiplicity."""
-    _check_int(modulus, 2, "modulus", TooSmall)
-    _check_residue(residue, modulus, "residue")
-    return sum(mult for part, mult in partition.runs if part % modulus == residue)
-
-
-def count_repeated_sizes(partition: Partition, modulus: int, threshold: int) -> int:
-    """Distinct part sizes occurring at least ``threshold`` times.
-
-    The modulus only bounds the admissible thresholds (1 up to modulus - 1),
-    matching the residues used on the class-regular side.
-    """
-    _check_int(modulus, 2, "modulus", TooSmall)
-    _check_residue(threshold, modulus, "threshold")
-    return sum(1 for _, mult in partition.runs if mult >= threshold)
-
-
 class XYCReport(_Value):
-    """Aggregated statistics for one modulus tuple and one total size.
+    """The statistics of one modulus tuple at one total size n.
 
-    ``per_residue`` maps each residue j to (X, Y, X - Y) where X sums the
-    congruent-part counts over the class-regular family and Y sums the
-    repeated-size counts over the regular family. ``operation_total`` is the
-    total number of merge steps over the class-regular family, and
-    ``inferior_count`` the size of the inferior-regular family.
+    ``per_residue`` maps each residue j from 1 to head - 1 to (X, Y): X sums
+    the parts congruent to j modulo the head, with multiplicity, over the
+    class-regular family, and Y sums the part sizes of multiplicity at least
+    j over the regular family. ``operation_total`` is the number of merge
+    steps over the class-regular family. ``verify_xyc`` and
+    ``verify_length_identity`` both read their counts from this record.
     """
 
-    __slots__ = _fields = ("moduli", "n", "per_residue", "operation_total", "inferior_count")
+    __slots__ = _fields = ("moduli", "n", "per_residue", "operation_total")
 
     def __init__(
-        self, moduli: ModulusTuple, n: int, per_residue: dict[int, tuple[int, int, int]],
-        operation_total: int, inferior_count: int,
+        self, moduli: ModulusTuple, n: int, per_residue: dict[int, tuple[int, int]],
+        operation_total: int,
     ):
-        self._fill(moduli, n, per_residue, operation_total, inferior_count)
+        self._fill(moduli, n, per_residue, operation_total)
 
     @property
     def hypothesis_holds(self) -> bool:
@@ -95,30 +82,17 @@ def _class_regular_fold(moduli: ModulusTuple, n: int) -> tuple[list[int], int]:
     return x_totals, operations
 
 
-def _regular_fold(moduli: ModulusTuple, n: int) -> list[int]:
-    # One pass over the regular family at n: Y_j at index j, where index 0
-    # counts every run.
+def aggregate(moduli: ModulusTuple | int, n: int) -> XYCReport:
+    """Walk the class-regular and the regular family of size n once each and
+    collect every residue's X and Y and the operation total at once."""
+    moduli = validate_tuple(moduli)
+    x, operations = _class_regular_fold(moduli, n)
     runs_by_mult = [0] * moduli.head  # regular multiplicities stay below head
     for runs in enumerate_runs(PartitionClass.regular(moduli), n):
         for _, mult in runs:
             runs_by_mult[mult] += 1
-    return [sum(runs_by_mult[j:]) for j in range(moduli.head)]
-
-
-def aggregate(moduli: ModulusTuple | int, n: int) -> XYCReport:
-    """One pass over each family, collecting every residue at once."""
-    moduli = validate_tuple(moduli)
-    x, operations = _class_regular_fold(moduli, n)
-    y = _regular_fold(moduli, n)
-    per_residue = {j: (x[j], y[j], x[j] - y[j]) for j in range(1, moduli.head)}
-    inferior = count_class(PartitionClass.inferior_regular(moduli), n)
-    return XYCReport(
-        moduli=moduli,
-        n=n,
-        per_residue=per_residue,
-        operation_total=operations,
-        inferior_count=inferior,
-    )
+    per_residue = {j: (x[j], sum(runs_by_mult[j:])) for j in range(1, moduli.head)}
+    return XYCReport(moduli=moduli, n=n, per_residue=per_residue, operation_total=operations)
 
 
 class XYCRow(_Value):
@@ -149,13 +123,14 @@ class XYCRow(_Value):
         return self.difference == self.operation_total == self.inferior_count
 
 
-def verify_xyc(moduli: ModulusTuple | int, n: int) -> tuple[XYCRow, ...]:
-    """Check X - Y = operations = inferior count for every residue."""
-    report = aggregate(moduli, n)
+def verify_xyc(report: XYCReport) -> tuple[XYCRow, ...]:
+    """Check X - Y = operations = inferior count for every residue of the
+    report, counting the inferior-regular family at the report's size."""
+    moduli, n = report.moduli, report.n
+    inferior = count_class(PartitionClass.inferior_regular(moduli), n)
     return tuple(
-        XYCRow(report.moduli, n, residue, x_total, y_total,
-               report.operation_total, report.inferior_count)
-        for residue, (x_total, y_total, _) in report.per_residue.items()
+        XYCRow(moduli, n, residue, x_total, y_total, report.operation_total, inferior)
+        for residue, (x_total, y_total) in report.per_residue.items()
     )
 
 
@@ -186,23 +161,22 @@ class LengthCheck(_Value):
         return self.difference == (self.modulus - 1) * self.operation_total
 
 
-def verify_length_identity(modulus: int, n: int) -> LengthCheck:
-    """Compare the two length sums with the operation total.
+def verify_length_identity(report: XYCReport) -> LengthCheck:
+    """Compare the two length sums of a single-modulus report with its
+    operation total.
 
     No class-regular part is divisible by the modulus and every regular
     multiplicity is below it, so the length sums are the sums of X_j and of
     Y_j over the residues j >= 1.
     """
-    moduli = ModulusTuple((modulus,))
-    x, operations = _class_regular_fold(moduli, n)
-    class_sum = sum(x)
-    regular_sum = sum(_regular_fold(moduli, n)[1:])
+    if len(report.moduli) > 1:
+        raise ValueError(f"the length identity needs a single modulus, got {report.moduli}")
     return LengthCheck(
-        modulus=modulus,
-        n=n,
-        class_regular_length_sum=class_sum,
-        regular_length_sum=regular_sum,
-        operation_total=operations,
+        modulus=report.moduli.head,
+        n=report.n,
+        class_regular_length_sum=sum(x for x, _ in report.per_residue.values()),
+        regular_length_sum=sum(y for _, y in report.per_residue.values()),
+        operation_total=report.operation_total,
     )
 
 

@@ -41,6 +41,16 @@ def in_inferior(parts, head, tail):
     return sum(1 for m in Counter(parts).values() if m >= head) == 1
 
 
+def count_congruent_parts(parts, modulus, residue):
+    """Parts congruent to the residue modulo the modulus, with multiplicity."""
+    return sum(1 for p in parts if p % modulus == residue)
+
+
+def count_repeated_sizes(parts, threshold):
+    """Distinct part sizes occurring at least ``threshold`` times."""
+    return sum(1 for m in Counter(parts).values() if m >= threshold)
+
+
 def merge_fully(parts, r, choose):
     """Merge r copies of a size into one r-times part until none remains,
     picking the size to merge with ``choose``; returns (tuple, step count)."""

@@ -599,7 +599,7 @@ def _record_stdout_at_each_call(monkeypatch, name):
 
 class TestStreaming:
     def test_first_xyc_row_is_written_before_the_last_size_is_computed(self, monkeypatch):
-        out, calls = _record_stdout_at_each_call(monkeypatch, "verify_xyc")
+        out, calls = _record_stdout_at_each_call(monkeypatch, "aggregate")
         assert main(["verify", "--scope", "xyc", "--moduli", "3", "--n", "0..6"]) == 0
         first_row = out.getvalue().splitlines()[0]
         (_, last_n), written = calls[-1]
@@ -616,14 +616,14 @@ class TestStreaming:
 
     def test_internal_error_keeps_the_rows_already_written(self, capsys, monkeypatch):
         _, earlier, _ = run(capsys, "verify", "--scope", "xyc", "--moduli", "3", "--n", "0..3")
-        real = cli.verify_xyc
+        real = cli.aggregate
 
         def broken(moduli, n):
             if n == 4:
                 raise RuntimeError("internal fault")
             return real(moduli, n)
 
-        monkeypatch.setattr(cli, "verify_xyc", broken)
+        monkeypatch.setattr(cli, "aggregate", broken)
         code, out, err = run(capsys, "verify", "--scope", "xyc", "--moduli", "3", "--n", "0..4")
         assert code == 3
         assert out == earlier != ""
@@ -757,7 +757,7 @@ class TestErrorMapping:
             def broken(moduli, n):
                 raise error("internal fault")
 
-            monkeypatch.setattr("regpart.cli.verify_xyc", broken)
+            monkeypatch.setattr("regpart.cli.aggregate", broken)
             code, out, err = run(capsys, "verify", "--scope", "xyc", "--moduli", "3", "--n", "4")
             assert code == 3
             assert out == ""

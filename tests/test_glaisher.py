@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    count_repeated_sizes,
     in_class_regular,
     in_inferior,
     in_regular,
@@ -27,10 +28,7 @@ from regpart import (
     PartitionClass,
     PreimageCountMismatch,
     TooSmall,
-    count_congruent_parts,
-    count_repeated_sizes,
     enumerate_class,
-    factor_out,
     glaisher_forward,
     glaisher_inverse,
     insertion_map,
@@ -223,25 +221,22 @@ def test_bijection_small_sweep():
 
 
 class TestFactorOut:
+    # the private splitter the insertion map and its inverse call
     def test_examples(self):
-        assert factor_out(12, (3,)) == (3, 4)
-        assert factor_out(45, (3, 5)) == (45, 1)
-        assert factor_out(7, (3, 5)) == (1, 7)
-        assert factor_out(8, (4,)) == (4, 2)
+        assert glaisher._factor(12, (3,)) == (3, 4)
+        assert glaisher._factor(45, (3, 5)) == (45, 1)
+        assert glaisher._factor(7, (3, 5)) == (1, 7)
+        assert glaisher._factor(8, (4,)) == (4, 2)
 
     def test_no_bases(self):
-        assert factor_out(6, ()) == (1, 6)
+        assert glaisher._factor(6, ()) == (1, 6)
 
     def test_accepts_modulus_tuple(self):
-        assert factor_out(12, validate_tuple((2, 3))) == (12, 1)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            factor_out(0, (3,))
+        assert glaisher._factor(12, validate_tuple((2, 3))) == (12, 1)
 
     @given(st.integers(min_value=1, max_value=10**6), st.sampled_from([(3,), (2, 3), (3, 5), (2, 3, 7)]))
     def test_split_multiplies_back(self, value, bases):
-        block, cofactor = factor_out(value, bases)
+        block, cofactor = glaisher._factor(value, bases)
         assert block * cofactor == value
         assert all(cofactor % b != 0 for b in bases)
         # block factors entirely over the bases
@@ -419,7 +414,7 @@ class TestInsertionPreimages:
         for mu in enumerate_class(PartitionClass.all_partitions(), 6):
             got = len(insertion_preimages(mt, 1, 6, mu))
             if is_member(mu, regular):
-                assert got == count_repeated_sizes(mu, mt.head, 1)
+                assert got == count_repeated_sizes(mu.parts, 1)
             elif is_member(mu, inferior):
                 assert got == 1
             else:
@@ -452,7 +447,7 @@ class TestInsertionPreimages:
                 for triple in found:
                     assert insertion_map(mt, j, triple) == mu
                 if is_member(mu, regular):
-                    assert len(found) == count_repeated_sizes(mu, mt.head, j)
+                    assert len(found) == count_repeated_sizes(mu.parts, j)
                 else:
                     assert len(found) == int(is_member(mu, inferior))
             if marked is not None:

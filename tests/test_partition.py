@@ -9,8 +9,6 @@ from regpart import (
     PartitionClass,
     aggregate,
     count_class,
-    count_congruent_parts,
-    count_repeated_sizes,
     enumerate_class,
     enumerate_runs,
     gf_class,
@@ -129,8 +127,8 @@ SIZE_ENTRY_POINTS = {
     "enumerate_runs": lambda n: list(enumerate_runs(PartitionClass.regular(3), n)),
     "count_class": lambda n: count_class(PartitionClass.inferior_regular(3), n),
     "aggregate": lambda n: aggregate(3, n),
-    "verify_xyc": lambda n: verify_xyc(3, n),
-    "verify_length_identity": lambda n: verify_length_identity(3, n),
+    "verify_xyc": lambda n: verify_xyc(aggregate(3, n)),
+    "verify_length_identity": lambda n: verify_length_identity(aggregate(3, n)),
     "insertion_preimages": lambda n: insertion_preimages(3, 1, n, Partition()),
     "gf_class": lambda n: gf_class(PartitionClass.class_regular(3), n),
     "verify_series_vs_enumeration": lambda n: verify_series_vs_enumeration(
@@ -154,8 +152,6 @@ RESIDUE_ENTRY_POINTS = {
         3, j, BijectionTriple(Partition([1]), 1, 1)
     )),
     "insertion_preimages": (InvalidTriple, lambda j: insertion_preimages(3, j, 1, Partition([1]))),
-    "count_congruent_parts": (ValueError, lambda j: count_congruent_parts(Partition([4, 1]), 3, j)),
-    "count_repeated_sizes": (ValueError, lambda j: count_repeated_sizes(Partition([1]), 3, j)),
 }
 
 

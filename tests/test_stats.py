@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    count_congruent_parts,
+    count_repeated_sizes,
     in_class_regular,
     in_inferior,
     in_regular,
@@ -15,14 +17,10 @@ from regpart import (
     CLASS_REGULAR,
     INFERIOR_REGULAR,
     REGULAR,
-    Partition,
     PartitionClass,
     SeriesCheck,
-    TooSmall,
     TruncatedSeries,
     aggregate,
-    count_congruent_parts,
-    count_repeated_sizes,
     enumerate_class,
     glaisher_forward,
     validate_tuple,
@@ -31,99 +29,49 @@ from regpart import (
     verify_xyc,
 )
 from regpart import classes
-from regpart.cli import xyc_exit_code
-
-parts_lists = st.lists(st.integers(min_value=1, max_value=12), max_size=14)
-
-
-class TestPointStatistics:
-    def test_congruent_parts(self):
-        p = Partition([4, 2, 1])
-        assert count_congruent_parts(p, 3, 1) == 2
-        assert count_congruent_parts(p, 3, 2) == 1
-
-    def test_congruent_parts_counts_multiplicity(self):
-        assert count_congruent_parts(Partition([1, 1, 1]), 2, 1) == 3
-
-    def test_repeated_sizes(self):
-        p = Partition([3, 2, 2, 1])
-        assert count_repeated_sizes(p, 3, 1) == 3
-        assert count_repeated_sizes(p, 3, 2) == 1
-
-    def test_residue_range(self):
-        with pytest.raises(ValueError):
-            count_congruent_parts(Partition([1]), 3, 0)
-        with pytest.raises(ValueError):
-            count_congruent_parts(Partition([1]), 3, 3)
-
-    def test_threshold_range(self):
-        with pytest.raises(ValueError):
-            count_repeated_sizes(Partition([1]), 3, 0)
-        with pytest.raises(ValueError):
-            count_repeated_sizes(Partition([1]), 3, 3)
-
-    @pytest.mark.parametrize("modulus", [2.5, True, 1])
-    @pytest.mark.parametrize("statistic", [count_congruent_parts, count_repeated_sizes])
-    def test_modulus_is_checked_before_the_residue(self, statistic, modulus):
-        with pytest.raises(TooSmall, match="modulus"):
-            statistic(Partition([6, 6, 1]), modulus, 1)
-
-    @given(parts_lists, st.integers(min_value=2, max_value=6))
-    def test_congruent_parts_partition_the_length(self, parts, modulus):
-        p = Partition(parts)
-        residue_total = sum(
-            count_congruent_parts(p, modulus, j) for j in range(1, modulus)
-        )
-        divisible = sum(m for part, m in p.runs if part % modulus == 0)
-        assert residue_total + divisible == p.length
-
-    @given(parts_lists, st.integers(min_value=3, max_value=6))
-    def test_repeated_sizes_weakly_decreasing_in_threshold(self, parts, modulus):
-        p = Partition(parts)
-        values = [count_repeated_sizes(p, modulus, j) for j in range(1, modulus)]
-        assert values == sorted(values, reverse=True)
+from regpart.cli import main, xyc_exit_code
 
 
 class TestAggregateGoldens:
     def test_single_modulus_table(self):
         report = aggregate(validate_tuple(3), 7)
-        assert report.per_residue == {1: (25, 19, 6), 2: (10, 4, 6)}
+        assert report.per_residue == {1: (25, 19), 2: (10, 4)}
         assert report.operation_total == 6
-        assert report.inferior_count == 6
+        assert [row.inferior_count for row in verify_xyc(report)] == [6, 6]
         assert report.hypothesis_holds
 
     def test_pair_counterexample_table(self):
         report = aggregate(validate_tuple((3, 5)), 5)
-        assert report.per_residue == {1: (11, 8, 3), 2: (3, 2, 1)}
+        assert report.per_residue == {1: (11, 8), 2: (3, 2)}
         assert report.operation_total == 2
-        assert report.inferior_count == 2
+        assert [row.inferior_count for row in verify_xyc(report)] == [2, 2]
         assert not report.hypothesis_holds
 
     def test_pair_with_congruent_tail(self):
         report = aggregate(validate_tuple((2, 3)), 6)
-        assert report.per_residue == {1: (8, 4, 4)}
+        assert report.per_residue == {1: (8, 4)}
         assert report.operation_total == 4
-        assert report.inferior_count == 4
+        assert [row.inferior_count for row in verify_xyc(report)] == [4]
         assert report.hypothesis_holds
 
 
 class TestVerifyXYC:
     def test_rows_pass_for_single_modulus(self):
-        rows = verify_xyc(validate_tuple(3), 7)
+        rows = verify_xyc(aggregate(validate_tuple(3), 7))
         assert [row.residue for row in rows] == [1, 2]
         assert all(row.ok for row in rows)
         assert rows[0].x_total == 25 and rows[0].y_total == 19
         assert rows[1].x_total == 10 and rows[1].y_total == 4
 
     def test_rows_fail_without_hypothesis(self):
-        rows = verify_xyc(validate_tuple((3, 5)), 5)
+        rows = verify_xyc(aggregate(validate_tuple((3, 5)), 5))
         assert [row.difference for row in rows] == [3, 1]
         assert all(row.operation_total == 2 for row in rows)
         assert not any(row.ok for row in rows)
         assert not any(row.hypothesis_holds for row in rows)
 
     def test_size_zero(self):
-        rows = verify_xyc(validate_tuple(4), 0)
+        rows = verify_xyc(aggregate(validate_tuple(4), 0))
         assert all(row.x_total == row.y_total == 0 and row.ok for row in rows)
 
 
@@ -138,20 +86,15 @@ def test_aggregate_matches_brute_force(raw, n):
     class_regular = [q for q in everything if in_class_regular(q, mt.moduli)]
     regular = [q for q in everything if in_regular(q, head, tail)]
     report = aggregate(mt, n)
+    rows = verify_xyc(report)
+    inferior = sum(1 for q in everything if in_inferior(q, head, tail))
     for j in range(1, head):
-        x = sum(1 for q in class_regular for p in q if p % head == j)
-        y = sum(
-            1
-            for q in regular
-            for m in Counter(q).values()
-            if m >= j
-        )
-        assert report.per_residue[j] == (x, y, x - y)
+        x = sum(count_congruent_parts(q, head, j) for q in class_regular)
+        y = sum(count_repeated_sizes(q, j) for q in regular)
+        assert report.per_residue[j] == (x, y)
+        assert rows[j - 1].inferior_count == inferior
     assert report.operation_total == sum(
         merge_count_closed_form(q, head) for q in class_regular
-    )
-    assert report.inferior_count == sum(
-        1 for q in everything if in_inferior(q, head, tail)
     )
 
 
@@ -167,7 +110,7 @@ def test_operation_total_matches_simulated_merges(raw):
 
 class TestLengthIdentity:
     def test_golden_case(self):
-        check = verify_length_identity(3, 7)
+        check = verify_length_identity(aggregate(3, 7))
         assert check.class_regular_length_sum == 35
         assert check.regular_length_sum == 23
         assert check.operation_total == 6
@@ -175,20 +118,20 @@ class TestLengthIdentity:
         assert check.ok
 
     def test_small_case(self):
-        check = verify_length_identity(2, 3)
+        check = verify_length_identity(aggregate(2, 3))
         assert check.class_regular_length_sum == 4
         assert check.regular_length_sum == 3
         assert check.operation_total == 1
         assert check.ok
 
     def test_size_zero(self):
-        check = verify_length_identity(5, 0)
+        check = verify_length_identity(aggregate(5, 0))
         assert check.class_regular_length_sum == check.regular_length_sum == 0
         assert check.ok
 
     @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=14))
     def test_sweep_against_brute_force(self, modulus, n):
-        check = verify_length_identity(modulus, n)
+        check = verify_length_identity(aggregate(modulus, n))
         everything = list(partitions_desc(n))
         class_sum = sum(
             len(q) for q in everything if in_class_regular(q, (modulus,))
@@ -197,6 +140,11 @@ class TestLengthIdentity:
         assert check.class_regular_length_sum == class_sum
         assert check.regular_length_sum == regular_sum
         assert check.ok
+
+    def test_refuses_a_tuple_report(self):
+        report = aggregate((3, 7), 7)
+        with pytest.raises(ValueError, match="needs a single modulus, got 3,7"):
+            verify_length_identity(report)
 
 
 def test_series_check_walks_each_family_once_per_degree_it_reads(monkeypatch):
@@ -215,6 +163,28 @@ def test_series_check_walks_each_family_once_per_degree_it_reads(monkeypatch):
     assert walks[REGULAR] == []
     assert walks[CLASS_REGULAR] == list(range(13))
     assert walks[INFERIOR_REGULAR] == list(range(13))
+
+
+@pytest.mark.parametrize("scope, extra, walked", [
+    ("all", ["--trunc", "0"], (CLASS_REGULAR, REGULAR, INFERIOR_REGULAR)),
+    ("length", [], (CLASS_REGULAR, REGULAR)),
+])
+def test_verify_walks_each_family_once_per_size(monkeypatch, scope, extra, walked):
+    # the xyc and length sections read one report per size, and only the
+    # xyc rows count the inferior-regular family
+    walks = Counter()
+    real = classes._family_runs
+
+    def recorded(family, n):
+        walks[family.kind, n] += 1
+        return real(family, n)
+
+    monkeypatch.setattr(classes, "_family_runs", recorded)
+    assert main(["verify", "--scope", scope, "--moduli", "3", "--n", "0..12", *extra]) == 0
+    lowest = 1 if scope == "all" else 0  # the series section walks size 0 again
+    assert {key: count for key, count in walks.items() if key[1] >= lowest} == {
+        (kind, n): 1 for kind in walked for n in range(lowest, 13)
+    }
 
 
 @pytest.mark.parametrize("family, want", [
@@ -237,10 +207,10 @@ def test_regular_counts_differ_at_is_read_from_the_family(family, want):
 def test_verdicts_differences_and_hypothesis_flags_are_derived(moduli):
     mt = validate_tuple(moduli)
     report = aggregate(mt, 7)
-    rows = verify_xyc(mt, 7)
-    length = verify_length_identity(mt.head, 7)
+    rows = verify_xyc(report)
+    length = verify_length_identity(aggregate(mt.head, 7))
     series = verify_series_vs_enumeration(PartitionClass.inferior_regular(mt), 6)
-    assert [len(type(r)._fields) for r in (rows[0], report, length, series)] == [7, 5, 5, 4]
+    assert [len(type(r)._fields) for r in (rows[0], report, length, series)] == [7, 4, 5, 4]
     assert report.hypothesis_holds == mt.tail_congruent
     for row in rows:
         assert row.difference == row.x_total - row.y_total
@@ -256,12 +226,16 @@ def test_verdicts_differences_and_hypothesis_flags_are_derived(moduli):
         type(result)(**values)
         with pytest.raises(TypeError):
             type(result)(**values, **{name: getattr(result, name)})
-    assert xyc_exit_code(verify_xyc(mt, 5)) == 0
+    assert xyc_exit_code(verify_xyc(aggregate(mt, 5))) == 0
 
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: aggregate(3, -1), lambda: verify_xyc(3, -2), lambda: verify_length_identity(3, -1)],
+    [
+        lambda: aggregate(3, -1),
+        lambda: verify_xyc(aggregate(3, -2)),
+        lambda: verify_length_identity(aggregate(3, -1)),
+    ],
     ids=["aggregate", "verify_xyc", "verify_length_identity"],
 )
 def test_negative_size_is_blamed_on_the_size(call):
