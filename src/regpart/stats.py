@@ -16,11 +16,11 @@ operations, counted in closed form from the run multiplicities without
 simulating any merge, and one pass over the regular family gives Y. The
 xyc and length checks are views of that record, so a caller that runs both
 at one size walks each family once. The xyc check adds the inferior-regular
-count, which the length check does not need. The series check, which
-compares each family generating function with enumeration, reads only the
-class-regular fold. Each result type stores only counts; its verdict,
-differences and hypothesis flag are properties derived from them, so it
-cannot disagree with its counts.
+count, read from its generating function as a witness independent of the
+operation total. The series check, which compares each family generating
+function with enumeration, reads only the class-regular fold. Each result
+type stores only counts; its verdict, differences and hypothesis flag are
+properties derived from them, so it cannot disagree with its counts.
 """
 
 from __future__ import annotations
@@ -125,9 +125,9 @@ class XYCRow(_Value):
 
 def verify_xyc(report: XYCReport) -> tuple[XYCRow, ...]:
     """Check X - Y = operations = inferior count for every residue of the
-    report, counting the inferior-regular family at the report's size."""
+    report, reading the inferior-regular count from its generating function."""
     moduli, n = report.moduli, report.n
-    inferior = count_class(PartitionClass.inferior_regular(moduli), n)
+    inferior = gf_class(PartitionClass.inferior_regular(moduli), n)[n]
     return tuple(
         XYCRow(moduli, n, residue, x_total, y_total, report.operation_total, inferior)
         for residue, (x_total, y_total) in report.per_residue.items()

@@ -12,7 +12,6 @@ from oracles import (
 )
 from regpart import (
     EmptyTuple,
-    ModulusTuple,
     NotCoprime,
     Partition,
     PartitionClass,

@@ -15,7 +15,6 @@ from oracles import in_class_regular, in_inferior, in_regular, partitions_desc
 
 from regpart import (
     InvalidTriple,
-    Partition,
     PartitionClass,
     TruncatedSeries,
     validate_tuple,
