@@ -11,7 +11,12 @@ pairwise coprime moduli ``(r1, ..., rm)``:
   ``r1``, and no part divisible by any of the remaining moduli.
 
 Enumeration is in descending lexicographic order of the part sequences, so
-``(7)`` comes first and ``(1, 1, ..., 1)`` last.
+``(7)`` comes first and ``(1, 1, ..., 1)`` last. The kernel walks a family
+in blocks ``(prefix, p, rest, top, low)``. A block stands for the members
+whose run tuple is ``prefix`` followed by ``(p, a)`` and ``(1, rest - p*a)``,
+for ``a`` from ``top`` down to ``low``, leaving out a run of multiplicity 0.
+Every block holds at least one member; a member that stands alone is the
+block ``(runs, 1, 0, 0, 0)``.
 """
 
 from __future__ import annotations
@@ -155,11 +160,14 @@ def is_member(partition: Partition, family: PartitionClass) -> bool:
     return not heavy or sum(1 for _, mult in partition.runs if mult >= heavy) == 1
 
 
-def _run_tuples(n, divisors, cap, heavy):
-    # Partitions of n avoiding the divisors, as run tuples in descending lex
-    # order, with multiplicities at most cap; a nonzero heavy asks for exactly
-    # one run of multiplicity >= heavy and keeps the others below it. Fills
-    # greedily, then backtracks by decrementing the last multiplicity.
+def _run_blocks(n, divisors, cap, heavy):
+    # Partitions of n avoiding the divisors, as blocks (see the module
+    # docstring) in descending lex order, with multiplicities at most cap; a
+    # nonzero heavy asks for exactly one run of multiplicity >= heavy and
+    # keeps the others below it. Fills greedily, then backtracks by
+    # decrementing the last multiplicity. A level whose part has only size 1
+    # below it among the allowed sizes, with no heavy run pending, is the last
+    # one above the 1s: all its members go out as one block.
     # per v: the largest allowed part <= v, and the sum of all allowed parts <= v
     largest, room = [0] * (n + 1), [0] * (n + 1)
     for v in range(1, n + 1):
@@ -168,23 +176,34 @@ def _run_tuples(n, divisors, cap, heavy):
         room[v] = room[v - 1] + (v if allowed else 0)
     runs = []
     rem = limit = n
-    bound, need, heavy_at = cap, heavy, -1
+    bound, need = cap, heavy
     while True:
         part = largest[rem if rem < limit else limit] if rem >= need else 0
+        if part and not need and largest[part - 1] == 1:
+            # part^a 1^(rem - part*a) for every a with both runs within bound
+            top = rem // part
+            if top > bound:
+                top = bound
+            low = (rem - bound + part - 1) // part
+            if low < 0:
+                low = 0
+            if top >= low:
+                yield tuple(runs), part, rem, top, low
+            part = 0
         if part:
             mult = rem // part
             if mult > bound:
                 mult = bound
         else:
             if not rem and not need:
-                yield tuple(runs)
+                yield tuple(runs), 1, 0, 0, 0
             while True:
                 if not runs:
                     return
                 part, mult = runs.pop()
                 rem += part * mult
-                if heavy_at == len(runs):
-                    bound, need, heavy_at = cap, heavy, -1
+                if mult > bound:  # only the heavy run exceeds the bound
+                    bound, need = cap, heavy
                 # stay on this level only if smaller parts can fill what it leaves
                 if rem - part * (mult - 1) <= bound * room[part - 1]:
                     break
@@ -193,30 +212,45 @@ def _run_tuples(n, divisors, cap, heavy):
                 limit = part - 1
                 continue
         if need and mult >= need:
-            bound, need, heavy_at = heavy - 1, 0, len(runs)
+            bound, need = heavy - 1, 0
         runs.append((part, mult))
         rem -= part * mult
         limit = part - 1
 
 
-def _family_runs(family: PartitionClass, n: int):
+def _family_blocks(family: PartitionClass, n: int):
     _check_int(n, 0, "partition size")
     divisors, cap, heavy = _shape(family)
-    return _run_tuples(n, divisors, n if cap is None else cap, heavy)
+    return _run_blocks(n, divisors, n if cap is None else cap, heavy)
+
+
+def _family_members(family: PartitionClass, n: int):
+    for prefix, part, rest, top, low in _family_blocks(family, n):
+        if not rest:
+            yield prefix
+            continue
+        ones = rest - part * top  # only the first member can lack the 1s
+        if not ones:
+            yield prefix + ((part, top),)
+            top, ones = top - 1, part
+        for a in range(top, low - 1, -1):
+            yield prefix + ((part, a), (1, ones)) if a else prefix + ((1, ones),)
+            ones += part
 
 
 def enumerate_runs(family: PartitionClass, n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """Run tuples ``((part, mult), ...)`` of the family's members of size n,
     in the order of enumerate_class, without building Partition objects."""
-    yield from _family_runs(family, n)
+    yield from _family_members(family, n)
 
 
 def enumerate_class(family: PartitionClass, n: int) -> Iterator[Partition]:
     """All members of the family with total size n, descending lex order."""
-    for runs in _family_runs(family, n):
+    for runs in _family_members(family, n):
         yield Partition._from_runs(runs)
 
 
 def count_class(family: PartitionClass, n: int) -> int:
-    """Number of members of the family with total size n."""
-    return sum(1 for _ in _family_runs(family, n))
+    """Number of members of the family with total size n, summed block by
+    block without building any member."""
+    return sum(top - low + 1 for _, _, _, top, low in _family_blocks(family, n))

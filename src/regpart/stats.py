@@ -25,14 +25,8 @@ properties derived from them, so it cannot disagree with its counts.
 
 from __future__ import annotations
 
-from .classes import (
-    INFERIOR_REGULAR,
-    ModulusTuple,
-    PartitionClass,
-    count_class,
-    enumerate_runs,
-    validate_tuple,
-)
+from . import classes
+from .classes import INFERIOR_REGULAR, ModulusTuple, PartitionClass, count_class, validate_tuple
 from .glaisher import merge_counts
 from .partition import _check_int, _Value
 from .qseries import TruncatedSeries, gf_class
@@ -69,16 +63,27 @@ class XYCReport(_Value):
 
 def _class_regular_fold(moduli: ModulusTuple, n: int) -> tuple[list[int], int]:
     # One pass over the class-regular family at n: X_j at index j (index 0
-    # stays 0) and the merge-operation total.
+    # stays 0) and the merge-operation total. Each block's prefix counts once
+    # per member, then each member of a block with a rest adds its runs p^a
+    # and 1^(rest - p*a); merges[0] is 0, so an absent run adds nothing.
     _check_int(n, 0, "partition size")  # before merge_counts can blame a run length
     head = moduli.head
     merges = merge_counts(head, n)
     x_totals = [0] * head
     operations = 0
-    for runs in enumerate_runs(PartitionClass.class_regular(moduli), n):
-        for part, mult in runs:
-            x_totals[part % head] += mult
-            operations += merges[mult]
+    family = PartitionClass.class_regular(moduli)
+    for prefix, part, rest, top, low in classes._family_blocks(family, n):
+        members = top - low + 1
+        for p, mult in prefix:
+            x_totals[p % head] += mult * members
+            operations += merges[mult] * members
+        if rest:
+            residue = part % head
+            for a in range(low, top + 1):
+                ones = rest - part * a
+                x_totals[residue] += a
+                x_totals[1] += ones
+                operations += merges[a] + merges[ones]
     return x_totals, operations
 
 
@@ -87,10 +92,16 @@ def aggregate(moduli: ModulusTuple | int, n: int) -> XYCReport:
     collect every residue's X and Y and the operation total at once."""
     moduli = validate_tuple(moduli)
     x, operations = _class_regular_fold(moduli, n)
-    runs_by_mult = [0] * moduli.head  # regular multiplicities stay below head
-    for runs in enumerate_runs(PartitionClass.regular(moduli), n):
-        for _, mult in runs:
-            runs_by_mult[mult] += 1
+    # regular multiplicities stay below head; index 0 counts absent runs
+    runs_by_mult = [0] * moduli.head
+    for prefix, part, rest, top, low in classes._family_blocks(PartitionClass.regular(moduli), n):
+        members = top - low + 1
+        for _, mult in prefix:
+            runs_by_mult[mult] += members
+        if rest:
+            for a in range(low, top + 1):
+                runs_by_mult[a] += 1
+                runs_by_mult[rest - part * a] += 1
     per_residue = {j: (x[j], sum(runs_by_mult[j:])) for j in range(1, moduli.head)}
     return XYCReport(moduli=moduli, n=n, per_residue=per_residue, operation_total=operations)
 
@@ -127,6 +138,7 @@ def verify_xyc(report: XYCReport) -> tuple[XYCRow, ...]:
     """Check X - Y = operations = inferior count for every residue of the
     report, reading the inferior-regular count from its generating function."""
     moduli, n = report.moduli, report.n
+    _check_int(n, 0, "partition size")  # before gf_class can blame a truncation
     inferior = gf_class(PartitionClass.inferior_regular(moduli), n)[n]
     return tuple(
         XYCRow(moduli, n, residue, x_total, y_total, report.operation_total, inferior)

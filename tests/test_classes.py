@@ -1,3 +1,4 @@
+import inspect
 from itertools import groupby
 
 import pytest
@@ -23,6 +24,7 @@ from regpart import (
     is_member,
     validate_tuple,
 )
+from regpart import classes
 
 # one representative pool of valid tuples for the property tests
 TUPLE_POOL = [(2,), (3,), (4,), (5,), (2, 3), (3, 5), (3, 4), (2, 3, 7)]
@@ -264,6 +266,21 @@ def test_enumeration_order_is_exhaustively_the_oracle_order(raw):
             assert list(enumerate_runs(family, n)) == [_runs_of(q) for q in expected]
             members = [is_member(Partition(q), family) for q in everything]
             assert members == [predicate(q) for q in everything]
+
+
+@pytest.mark.parametrize("raw", TUPLE_POOL)
+def test_block_sizes_count_the_listed_members(raw):
+    # count_class sums block sizes; enumerate_runs lists each block's members
+    mt = validate_tuple(raw)
+    families = [family for family, _ in _families(mt).values()]
+    for family in [PartitionClass.all_partitions(), *families]:
+        for n in range(21):
+            assert count_class(family, n) == len(list(enumerate_runs(family, n)))
+
+
+def test_enumerate_runs_stays_a_generator_function():
+    # the benchmark tracer times a generator function per next() call
+    assert inspect.isgeneratorfunction(classes.enumerate_runs)
 
 
 @pytest.mark.parametrize("raw", [(3,), (2, 3), (3, 7)])

@@ -20,6 +20,7 @@ from regpart import (
     PartitionClass,
     SeriesCheck,
     TruncatedSeries,
+    XYCReport,
     aggregate,
     count_class,
     enumerate_class,
@@ -76,11 +77,7 @@ class TestVerifyXYC:
         assert all(row.x_total == row.y_total == 0 and row.ok for row in rows)
 
 
-@given(
-    st.sampled_from([(2,), (3,), (4,), (2, 3), (3, 4), (3, 5)]),
-    st.integers(min_value=0, max_value=10),
-)
-def test_aggregate_matches_brute_force(raw, n):
+def _assert_aggregate_is_brute_force(raw, n):
     mt = validate_tuple(raw)
     head, tail = mt.head, mt.tail
     everything = list(partitions_desc(n))
@@ -97,6 +94,22 @@ def test_aggregate_matches_brute_force(raw, n):
     assert report.operation_total == sum(
         merge_count_closed_form(q, head) for q in class_regular
     )
+
+
+@given(
+    st.sampled_from([(2,), (3,), (4,), (5,), (2, 3), (3, 4), (3, 5), (2, 3, 7)]),
+    st.integers(min_value=0, max_value=10),
+)
+def test_aggregate_matches_brute_force(raw, n):
+    _assert_aggregate_is_brute_force(raw, n)
+
+
+@pytest.mark.parametrize("raw", [(2,), (3,), (2, 3, 7)])
+def test_aggregate_matches_brute_force_at_every_small_size(raw):
+    # head 2 caps every regular run at one copy, which makes a block's lowest
+    # multiplicity tightest; the class-regular blocks of (2, 3, 7) sit on part 5
+    for n in range(17):
+        _assert_aggregate_is_brute_force(raw, n)
 
 
 @pytest.mark.parametrize("raw", [(3, 5), (5, 3), (4, 7), (3, 5, 7), (2, 3, 7)])
@@ -160,15 +173,15 @@ class TestLengthIdentity:
 
 
 def test_series_check_walks_each_family_once_per_degree_it_reads(monkeypatch):
-    # every enumeration, count and fold goes through the one run kernel
+    # every enumeration, count and fold goes through the one block entry
     walks = defaultdict(list)
-    real = classes._family_runs
+    real = classes._family_blocks
 
     def recorded(family, n):
         walks[family.kind].append(n)
         return real(family, n)
 
-    monkeypatch.setattr(classes, "_family_runs", recorded)
+    monkeypatch.setattr(classes, "_family_blocks", recorded)
     check = verify_series_vs_enumeration(PartitionClass.inferior_regular(3), 12)
     assert check.ok
     assert check.regular_counts_differ_at == 0
@@ -186,13 +199,13 @@ def test_verify_walks_each_family_once_per_size(monkeypatch, scope, extra, walke
     # the xyc and length sections read one report per size, and the xyc
     # rows read the inferior-regular count from its series, not a walk
     walks = Counter()
-    real = classes._family_runs
+    real = classes._family_blocks
 
     def recorded(family, n):
         walks[family.kind, n] += 1
         return real(family, n)
 
-    monkeypatch.setattr(classes, "_family_runs", recorded)
+    monkeypatch.setattr(classes, "_family_blocks", recorded)
     assert main(["verify", "--scope", scope, "--moduli", "3", "--n", "0..12", *extra]) == 0
     lowest = 1 if scope == "all" else 0  # the series section walks size 0 again
     assert {key: count for key, count in walks.items() if key[1] >= lowest} == {
@@ -248,11 +261,12 @@ def test_verdicts_differences_and_hypothesis_flags_are_derived(moduli):
         lambda: aggregate(3, -1),
         lambda: verify_xyc(aggregate(3, -2)),
         lambda: verify_length_identity(aggregate(3, -1)),
+        lambda: verify_xyc(XYCReport(validate_tuple(3), -1, {1: (0, 0), 2: (0, 0)}, 0)),
     ],
-    ids=["aggregate", "verify_xyc", "verify_length_identity"],
+    ids=["aggregate", "verify_xyc", "verify_length_identity", "verify_xyc_of_a_built_report"],
 )
 def test_negative_size_is_blamed_on_the_size(call):
-    # the size is checked before merge_counts builds its table
+    # the size is checked before merge_counts or gf_class builds anything
     with pytest.raises(ValueError, match="partition size") as caught:
         call()
     assert "run length" not in str(caught.value)
