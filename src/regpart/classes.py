@@ -168,12 +168,14 @@ def _run_blocks(n, divisors, cap, heavy):
     # decrementing the last multiplicity. A level whose part has only size 1
     # below it among the allowed sizes, with no heavy run pending, is the last
     # one above the 1s: all its members go out as one block.
+    allowed = [True] * (n + 1)
+    for d in divisors:
+        allowed[d::d] = [False] * (n // d)
     # per v: the largest allowed part <= v, and the sum of all allowed parts <= v
     largest, room = [0] * (n + 1), [0] * (n + 1)
     for v in range(1, n + 1):
-        allowed = all(v % d for d in divisors)
-        largest[v] = v if allowed else largest[v - 1]
-        room[v] = room[v - 1] + (v if allowed else 0)
+        largest[v] = v if allowed[v] else largest[v - 1]
+        room[v] = room[v - 1] + (v if allowed[v] else 0)
     runs = []
     rem = limit = n
     bound, need = cap, heavy

@@ -62,11 +62,6 @@ class GlaisherTrace(_Value):
 
     __slots__ = _fields = ("start", "end", "modulus", "steps")
 
-    def __init__(
-        self, start: Partition, end: Partition, modulus: int, steps: tuple[tuple[str, int], ...]
-    ):
-        self._fill(start, end, modulus, steps)
-
     @property
     def count(self) -> int:
         return len(self.steps)
@@ -178,8 +173,8 @@ class BijectionTriple(_Value):
     __slots__ = _fields = ("partition", "part", "copies")
 
     def __init__(self, partition: Partition, part: int, copies: int):
-        # slot by slot, not through _fill: insertion_preimages builds and
-        # hashes one per candidate preimage
+        # slot by slot, not through the generic constructor: insertion_preimages
+        # builds and hashes one per candidate preimage
         _set(self, "partition", partition)
         _set(self, "part", part)
         _set(self, "copies", copies)

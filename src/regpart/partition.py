@@ -24,9 +24,9 @@ def _check_int(value, low, what: str, error=ValueError) -> None:
         raise error(f"{what} {value!r} is not {_BOUNDS.get(low, f'an integer >= {low}')}")
 
 
-def _check_residue(value, modulus: int, what: str, error=ValueError) -> None:
-    # The one residue rule: a residue or threshold is an integer in
-    # 1..modulus - 1, checked by the integer rule first.
+def _check_residue(value, modulus: int, what: str, error) -> None:
+    # The one residue rule: a residue is an integer in 1..modulus - 1,
+    # checked by the integer rule first.
     _check_int(value, 1, what, error)
     if value > modulus - 1:
         raise error(f"{what} {value} not in 1..{modulus - 1}")
@@ -36,19 +36,30 @@ _set = object.__setattr__
 
 
 class _Value:
-    # Base of the package's immutable records. A subclass lists its
-    # constructor's fields, in order, in _fields and __slots__ (where any
-    # value derived at construction follows them); its __init__ fills every
-    # slot through _fill, or _set on a hot path. Equality and hash go by the
-    # fields, between instances of one class only; repr reads
-    # Name(field=value, ...). Pickle and copy rebuild through the
-    # constructor, since restoring slots would go through __setattr__.
+    # Base of the package's immutable records. A subclass lists its fields,
+    # in order, in _fields and __slots__ (where any value derived at
+    # construction follows them). The one constructor takes each field once,
+    # by position or by name, in _fields order; a subclass that validates or
+    # derives writes its own __init__ and fills every slot through _fill, or
+    # _set on a hot path. Equality and hash go by the fields, between
+    # instances of one class only; repr reads Name(field=value, ...). Pickle
+    # and copy rebuild through the constructor, since restoring slots would
+    # go through __setattr__.
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
         cls._key = property(attrgetter(*cls._fields))
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:
+            values += tuple([named.pop(name) for name in fields[len(values):] if name in named])
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes each of {', '.join(fields)} once")
+        for name, value in zip(fields, values):
+            _set(self, name, value)
 
     def _fill(self, *values) -> None:
         for name, value in zip(self.__slots__, values, strict=True):

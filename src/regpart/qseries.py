@@ -23,19 +23,19 @@ from math import prod
 from operator import add, sub
 
 from .classes import ALL, INFERIOR_REGULAR, PartitionClass
-from .partition import _check_int
+from .partition import _check_int, _Value
 
 __all__ = ["TruncatedSeries", "gf_class"]
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Value):
     """The integer coefficients of a power series, exact up to a truncation.
 
     A read-only, validated record: coefficients beyond the truncation degree
     are unknown rather than zero, and asking for one raises IndexError.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = _fields = ("coefficients",)
 
     def __init__(self, coefficients: Iterable[int]):
         values = tuple(coefficients)
@@ -43,15 +43,11 @@ class TruncatedSeries:
             raise ValueError("need at least the constant coefficient")
         for c in values:
             _check_int(c, None, "coefficient")
-        self._coeffs = values
+        self._fill(values)
 
     @property
     def truncation(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        return self._coeffs
+        return len(self.coefficients) - 1
 
     def __getitem__(self, degree: int) -> int:
         _check_int(degree, None, "degree")
@@ -59,18 +55,10 @@ class TruncatedSeries:
             raise IndexError(
                 f"coefficient {degree} outside the known range 0..{self.truncation}"
             )
-        return self._coeffs[degree]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TruncatedSeries):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return self.coefficients[degree]
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self._coeffs)!r})"
+        return f"TruncatedSeries({list(self.coefficients)!r})"
 
 
 def _pentagonal(step: int, n: int) -> Iterator[tuple[int, int]]:

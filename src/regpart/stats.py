@@ -40,21 +40,15 @@ __all__ = [
 class XYCReport(_Value):
     """The statistics of one modulus tuple at one total size n.
 
-    ``per_residue`` maps each residue j from 1 to head - 1 to (X, Y): X sums
-    the parts congruent to j modulo the head, with multiplicity, over the
-    class-regular family, and Y sums the part sizes of multiplicity at least
-    j over the regular family. ``operation_total`` is the number of merge
-    steps over the class-regular family. ``verify_xyc`` and
+    ``per_residue`` maps each residue j from 1 to head - 1 to (X, Y): X
+    counts the parts congruent to j modulo the head, with multiplicity, over
+    the class-regular family, and Y counts the part sizes of multiplicity at
+    least j over the regular family. ``operation_total`` is the number of
+    merge steps over the class-regular family. ``verify_xyc`` and
     ``verify_length_identity`` both read their counts from this record.
     """
 
     __slots__ = _fields = ("moduli", "n", "per_residue", "operation_total")
-
-    def __init__(
-        self, moduli: ModulusTuple, n: int, per_residue: dict[int, tuple[int, int]],
-        operation_total: int,
-    ):
-        self._fill(moduli, n, per_residue, operation_total)
 
     @property
     def hypothesis_holds(self) -> bool:
@@ -117,12 +111,6 @@ class XYCRow(_Value):
         "moduli", "n", "residue", "x_total", "y_total", "operation_total", "inferior_count",
     )
 
-    def __init__(
-        self, moduli: ModulusTuple, n: int, residue: int, x_total: int, y_total: int,
-        operation_total: int, inferior_count: int,
-    ):
-        self._fill(moduli, n, residue, x_total, y_total, operation_total, inferior_count)
-
     @property
     def difference(self) -> int:
         return self.x_total - self.y_total
@@ -157,12 +145,6 @@ class LengthCheck(_Value):
     __slots__ = _fields = (
         "modulus", "n", "class_regular_length_sum", "regular_length_sum", "operation_total",
     )
-
-    def __init__(
-        self, modulus: int, n: int, class_regular_length_sum: int, regular_length_sum: int,
-        operation_total: int,
-    ):
-        self._fill(modulus, n, class_regular_length_sum, regular_length_sum, operation_total)
 
     @property
     def difference(self) -> int:
@@ -202,12 +184,6 @@ class SeriesCheck(_Value):
     """
 
     __slots__ = _fields = ("family", "series", "count_mismatch", "operations_mismatch")
-
-    def __init__(
-        self, family: PartitionClass, series: TruncatedSeries, count_mismatch: int | None,
-        operations_mismatch: int | None,
-    ):
-        self._fill(family, series, count_mismatch, operations_mismatch)
 
     @property
     def truncation(self) -> int:
