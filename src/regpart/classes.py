@@ -226,7 +226,9 @@ def _family_blocks(family: PartitionClass, n: int):
     return _run_blocks(n, divisors, n if cap is None else cap, heavy)
 
 
-def _family_members(family: PartitionClass, n: int):
+def enumerate_runs(family: PartitionClass, n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Run tuples ``((part, mult), ...)`` of the family's members of size n,
+    in the order of enumerate_class, without building Partition objects."""
     for prefix, part, rest, top, low in _family_blocks(family, n):
         if not rest:
             yield prefix
@@ -240,15 +242,9 @@ def _family_members(family: PartitionClass, n: int):
             ones += part
 
 
-def enumerate_runs(family: PartitionClass, n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Run tuples ``((part, mult), ...)`` of the family's members of size n,
-    in the order of enumerate_class, without building Partition objects."""
-    yield from _family_members(family, n)
-
-
 def enumerate_class(family: PartitionClass, n: int) -> Iterator[Partition]:
     """All members of the family with total size n, descending lex order."""
-    for runs in _family_members(family, n):
+    for runs in enumerate_runs(family, n):
         yield Partition._from_runs(runs)
 
 

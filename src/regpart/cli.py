@@ -28,7 +28,7 @@ from .classes import (
     NotCoprime,
     PartitionClass,
     TooSmall,
-    enumerate_class,
+    enumerate_runs,
     validate_tuple,
 )
 from .glaisher import NotRegular, glaisher_forward, glaisher_inverse
@@ -71,16 +71,16 @@ def _parse_parts(text: str) -> Partition:
     return Partition(values)
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> range:
     if ".." in text:
         lo, hi = _ints(text.split("..", 1), "range", text)
         if lo < 0 or hi < lo:
             raise UsageError(f"bad range {text!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     (n,) = _ints([text], "size", text)
     if n < 0:
         raise UsageError(f"size must be nonnegative, got {n}")
-    return [n]
+    return range(n, n + 1)
 
 
 def _guard(what: str, value: int, limit: int, force: bool) -> None:
@@ -112,16 +112,16 @@ def _family_from_args(name: str, moduli_text: str | None) -> PartitionClass:
     return PartitionClass(kind, mt)
 
 
-def _bodies(partitions, sep: str):
-    """Yield the parts of each partition joined by ``sep``, without brackets.
+def _bodies(members, sep: str):
+    """Yield the parts of each run tuple joined by ``sep``, without brackets.
 
     The text of each run ``(part, mult)`` is made once per call: a command
     meets at most the distinct runs of size <= n, O(n log n) of them.
     """
     texts: dict[tuple[int, int], str] = {}
-    for p in partitions:
+    for runs in members:
         pieces = []
-        for run in p.runs:
+        for run in runs:
             text = texts.get(run)
             if text is None:
                 text = texts[run] = sep.join([str(run[0])] * run[1])
@@ -174,12 +174,12 @@ def _cell(value):
 def _cmd_enumerate(args) -> int:
     family = _family_from_args(args.family, args.moduli)
     sizes = _parse_n_range(args.n)
-    if len(sizes) != 1:
-        raise UsageError("enumerate takes a single size, not a range")
     n = sizes[0]
+    if n != sizes[-1]:  # len() of a huge range overflows
+        raise UsageError("enumerate takes a single size, not a range")
     _guard("n=", n, MAX_PLAIN_N, args.force)
     out = sys.stdout
-    bodies = _bodies(enumerate_class(family, n), ", " if args.format == "jsonl" else ",")
+    bodies = _bodies(enumerate_runs(family, n), ", " if args.format == "jsonl" else ",")
     if args.format == "csv":
         writer = _csv_writer(out)
         writer.writerow(["partition"])
@@ -200,7 +200,7 @@ def _cmd_glaisher(args) -> int:
         else glaisher_forward(partition, modulus)
     )
     out = sys.stdout
-    bodies = _bodies(trace.states(), ", " if args.format == "jsonl" else ",")
+    bodies = _bodies((p.runs for p in trace.states()), ", " if args.format == "jsonl" else ",")
     if args.format == "csv":
         writer = _csv_writer(out)
         writer.writerow(["step", "partition"])
@@ -259,21 +259,21 @@ def checks_exit_code(checks) -> int:
 def _cmd_verify(args) -> int:
     scope = args.scope
     (trunc,) = _ints([args.trunc], "truncation", args.trunc)
-    sizes: list[int] = []
-    if scope != "series":
-        if args.n is None:
-            raise UsageError(f"scope {scope} needs --n")
+    # every input is checked whatever the scope reads
+    sizes = range(0)
+    if args.n is not None:
         sizes = _parse_n_range(args.n)
         _guard("n=", sizes[-1], MAX_PLAIN_N, args.force)
+    elif scope != "series":
+        raise UsageError(f"scope {scope} needs --n")
     if args.moduli is None:
         raise UsageError("verify needs --moduli")
     mt = _parse_moduli(args.moduli)
     if scope == "length" and len(mt) > 1:
         raise UsageError("length scope needs a single modulus")
-    if scope in ("series", "all"):
-        if trunc < 0:
-            raise UsageError(f"truncation must be nonnegative, got {trunc}")
-        _guard("truncation ", trunc, MAX_PLAIN_TRUNC, args.force)
+    if trunc < 0:
+        raise UsageError(f"truncation must be nonnegative, got {trunc}")
+    _guard("truncation ", trunc, MAX_PLAIN_TRUNC, args.force)
 
     families = [
         PartitionClass.all_partitions(),

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,8 +16,10 @@ from oracles import in_class_regular, in_inferior, in_regular, partitions_desc
 
 from regpart import (
     InvalidTriple,
+    Partition,
     PartitionClass,
     TruncatedSeries,
+    enumerate_class,
     validate_tuple,
 )
 from regpart import cli
@@ -112,6 +115,20 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--class", "all", "--n", "201")
         assert code == 2
         assert "--force" in err
+
+    def test_writes_from_run_tuples_without_building_partitions(self, capsys, monkeypatch):
+        built = []
+        from_runs = Partition._from_runs.__func__
+
+        def counting(cls, runs):
+            built.append(runs)
+            return from_runs(cls, runs)
+
+        monkeypatch.setattr(Partition, "_from_runs", classmethod(counting))
+        code, out, _ = run(capsys, "enumerate", "--class", "all", "--n", "12")
+        assert (code, len(out.splitlines()), built) == (0, 77, [])
+        # the probe does see the library's Partition path
+        assert len(list(enumerate_class(PartitionClass.all_partitions(), 12))) == len(built) == 77
 
 
 class TestGlaisher:
@@ -694,6 +711,49 @@ class TestExitCodeReducers:
 
 
 class TestGuards:
+    def test_refused_range_is_never_built(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "verify", "--scope", "xyc", "--moduli", "3", "--n", "0..2000000"
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert "refusing n=2000000 above 200" in err
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--scope", "xyc", "--moduli", "3"],
+             f"refusing n={10**30} above 200; pass --force to override"),
+            (["enumerate", "--class", "all"], "enumerate takes a single size, not a range"),
+        ],
+        ids=["verify", "enumerate"],
+    )
+    def test_huge_range_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv, "--n", f"0..{10**30}")
+        assert (code, out, err) == (2, "", f"error: UsageError: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--scope", "series", "--n", "abc"], "cannot parse size 'abc'"),
+            (["--scope", "series", "--n", "201"],
+             "refusing n=201 above 200; pass --force to override"),
+            (["--scope", "xyc", "--n", "2", "--trunc", "-7"],
+             "truncation must be nonnegative, got -7"),
+            (["--scope", "xyc", "--n", "2", "--trunc", "600"],
+             "refusing truncation 600 above 500; pass --force to override"),
+        ],
+        ids=["series-bad-n", "series-big-n", "xyc-negative-trunc", "xyc-big-trunc"],
+    )
+    def test_every_input_is_checked_whatever_the_scope(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", "--moduli", "3", *argv)
+        assert (code, out, err) == (2, "", f"error: UsageError: {message}\n")
+
     def test_guard_n(self):
         _guard("n=", 200, MAX_PLAIN_N, False)
         _guard("n=", 500, MAX_PLAIN_N, True)
