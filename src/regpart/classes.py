@@ -53,13 +53,15 @@ class ModulusTuple(_Value):
     forbid divisible part sizes. ``tail_congruent`` is True when every tail
     modulus is congruent to 1 modulo the head: the hypothesis under which
     the preimage-counting identities for the insertion map hold, vacuously
-    true for a single modulus.
+    true for a single modulus. A ``set`` or ``frozenset`` raises TypeError.
     """
 
     _fields = ("moduli",)
     __slots__ = _fields + ("head", "tail", "tail_congruent")
 
     def __init__(self, moduli: tuple[int, ...]):
+        if isinstance(moduli, (set, frozenset)):
+            raise TypeError(f"moduli in a {type(moduli).__name__} have no order; pass a tuple")
         values = tuple(moduli)
         if not values:
             raise EmptyTuple("need at least one modulus")
@@ -83,12 +85,13 @@ class ModulusTuple(_Value):
 
 
 def validate_tuple(moduli: ModulusTuple | Iterable[int] | int) -> ModulusTuple:
-    """Coerce one modulus or an iterable of moduli into a validated ModulusTuple."""
+    """Coerce one modulus or an ordered iterable of moduli into a validated
+    ModulusTuple; a ``set`` or ``frozenset``, having no order, raises TypeError."""
     if isinstance(moduli, ModulusTuple):
         return moduli
     if isinstance(moduli, (bytes, bytearray)) or not isinstance(moduli, Iterable):
         return ModulusTuple((moduli,))
-    return ModulusTuple(tuple(moduli))
+    return ModulusTuple(moduli)
 
 
 ALL = "all"

@@ -84,9 +84,13 @@ def _parse_n_range(text: str) -> range:
 
 
 def _guard(what: str, value: int, limit: int, force: bool) -> None:
-    # what carries its own separator: "n=" or "truncation "
-    if value > limit and not force:
-        raise UsageError(f"refusing {what}{value} above {limit}; pass --force to override")
+    # what carries its own separator: "n=" or "truncation "; --force lifts
+    # the limit only as far as a list of value + 1 entries can be indexed
+    if force:
+        limit = sys.maxsize - 1
+    if value > limit:
+        hint = ", even with --force" if force else "; pass --force to override"
+        raise UsageError(f"refusing {what}{value} above {limit}{hint}")
 
 
 _CLASS_NAMES = {

@@ -1,9 +1,9 @@
 """Integer partitions as immutable multisets of positive parts.
 
-A partition is kept internally as a run list ``((part, mult), ...)`` with
-strictly decreasing part sizes, which makes the multiset view (multiplicity
-lookups) and the sequence view (weakly decreasing parts) cheap to derive
-from one another.
+A partition is a ``_Value`` record whose one field is its run tuple
+``((part, mult), ...)`` with strictly decreasing part sizes, which makes the
+multiset view (multiplicity lookups) and the sequence view (weakly
+decreasing parts) cheap to derive from one another.
 """
 
 from __future__ import annotations
@@ -36,15 +36,16 @@ _set = object.__setattr__
 
 
 class _Value:
-    # Base of the package's immutable records. A subclass lists its fields,
-    # in order, in _fields and __slots__ (where any value derived at
-    # construction follows them). The one constructor takes each field once,
-    # by position or by name, in _fields order; a subclass that validates or
-    # derives writes its own __init__ and fills every slot through _fill, or
-    # _set on a hot path. Equality and hash go by the fields, between
-    # instances of one class only; repr reads Name(field=value, ...). Pickle
-    # and copy rebuild through the constructor, since restoring slots would
-    # go through __setattr__.
+    # Base of every immutable record of the package, Partition included. A
+    # subclass lists its fields, in order, in _fields and __slots__ (where
+    # any value derived at construction follows them). The one constructor
+    # takes each field once, by position or by name, in _fields order; a
+    # subclass that validates or derives writes its own __init__ and fills
+    # every slot through _fill, or _set on a hot path. Equality and hash go
+    # by the fields, between instances of one class only; repr reads
+    # Name(field=value, ...). Pickle and copy rebuild through the
+    # constructor (restoring slots would go through __setattr__), so a
+    # constructor that does not take the fields comes with a __reduce__.
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -87,24 +88,23 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Partition:
+class Partition(_Value):
     """An integer partition of a nonnegative number.
 
     Accepts parts in any order; the empty iterable gives the empty partition
-    (the unique partition of 0). Instances are immutable, hashable, and
-    compare equal iff they have the same parts with the same multiplicities.
+    (the unique partition of 0). The one field, ``runs``, holds the distinct
+    parts with their multiplicities, largest part first. Instances are
+    immutable, hashable, and equal iff they have the same runs.
     """
 
-    __slots__ = ("_runs",)
-
-    _runs: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("runs",)
 
     def __init__(self, parts: Iterable[int] = ()):
         counts: Counter[int] = Counter()
         for part in parts:
             _check_int(part, 1, "part")
             counts[part] += 1
-        self._runs = tuple(sorted(counts.items(), reverse=True))
+        _set(self, "runs", tuple(sorted(counts.items(), reverse=True)))
 
     @classmethod
     def from_multiplicities(cls, table: Mapping[int, int]) -> Partition:
@@ -122,35 +122,30 @@ class Partition:
     def _from_runs(cls, runs: tuple[tuple[int, int], ...]) -> Partition:
         # trusted path: runs must already be strictly decreasing with mult >= 1
         self = object.__new__(cls)
-        self._runs = runs
+        _set(self, "runs", runs)
         return self
-
-    @property
-    def runs(self) -> tuple[tuple[int, int], ...]:
-        """Distinct parts with multiplicities, largest part first."""
-        return self._runs
 
     @property
     def parts(self) -> tuple[int, ...]:
         """The weakly decreasing part sequence."""
         out = []
-        for part, mult in self._runs:
+        for part, mult in self.runs:
             out.extend([part] * mult)
         return tuple(out)
 
     @property
     def size(self) -> int:
         """The number being partitioned (sum of all parts)."""
-        return sum(part * mult for part, mult in self._runs)
+        return sum(part * mult for part, mult in self.runs)
 
     @property
     def length(self) -> int:
         """Number of parts, counted with multiplicity."""
-        return sum(mult for _, mult in self._runs)
+        return sum(mult for _, mult in self.runs)
 
     def multiplicity(self, part: int) -> int:
         """How many copies of ``part`` occur (0 when absent)."""
-        for size, mult in self._runs:
+        for size, mult in self.runs:
             if size == part:
                 return mult
             if size < part:
@@ -159,23 +154,19 @@ class Partition:
 
     def multiplicities(self) -> dict[int, int]:
         """A fresh ``{part: multiplicity}`` table of the nonzero entries."""
-        return dict(self._runs)
+        return dict(self.runs)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Partition):
-            return self._runs == other._runs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._runs)
+    def __reduce__(self):
+        # the constructor takes parts, not the run tuple
+        return type(self), (self.parts,)
 
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)!r})"
 
     def __str__(self) -> str:
-        if not self._runs:
+        if not self.runs:
             return "()"
         pieces = []
-        for part, mult in self._runs:
+        for part, mult in self.runs:
             pieces.append(str(part) if mult == 1 else f"{part}^{mult}")
         return "(" + " ".join(pieces) + ")"

@@ -36,6 +36,7 @@ class TestModulusTuple:
 
     def test_accepts_iterable(self):
         assert validate_tuple([3, 5]).moduli == (3, 5)
+        assert validate_tuple(dict.fromkeys([5, 3])).moduli == (5, 3)  # insertion order
 
     def test_passes_through(self):
         mt = validate_tuple((2, 3))
@@ -54,6 +55,12 @@ class TestModulusTuple:
     def test_empty_rejected(self):
         with pytest.raises(EmptyTuple):
             validate_tuple(())
+
+    @pytest.mark.parametrize("build", [validate_tuple, PartitionClass.regular])
+    @pytest.mark.parametrize("moduli", [{5, 3}, frozenset({5, 3})], ids=["set", "frozenset"])
+    def test_unordered_moduli_rejected(self, build, moduli):
+        with pytest.raises(TypeError, match=type(moduli).__name__):
+            build(moduli)
 
     def test_small_rejected(self):
         with pytest.raises(TooSmall):

@@ -754,9 +754,29 @@ class TestGuards:
         code, out, err = run(capsys, "verify", "--moduli", "3", *argv)
         assert (code, out, err) == (2, "", f"error: UsageError: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["enumerate", "--class", "all", "--n", str(10**30)], f"n={10**30}"),
+            (["verify", "--scope", "xyc", "--moduli", "3", "--n", str(10**30)], f"n={10**30}"),
+            (["verify", "--scope", "series", "--moduli", "3", "--trunc", str(10**30)],
+             f"truncation {10**30}"),
+        ],
+        ids=["enumerate-n", "verify-n", "verify-trunc"],
+    )
+    def test_force_stops_at_the_index_limit(self, capsys, argv, what):
+        code, out, err = run(capsys, *argv, "--force")
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        limit = sys.maxsize - 1
+        assert err == f"error: UsageError: refusing {what} above {limit}, even with --force\n"
+
     def test_guard_n(self):
         _guard("n=", 200, MAX_PLAIN_N, False)
         _guard("n=", 500, MAX_PLAIN_N, True)
+        _guard("n=", sys.maxsize - 1, MAX_PLAIN_N, True)
+        with pytest.raises(UsageError):
+            _guard("n=", sys.maxsize, MAX_PLAIN_N, True)
         with pytest.raises(UsageError):
             _guard("n=", 201, MAX_PLAIN_N, False)
 

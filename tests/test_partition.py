@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -94,6 +97,43 @@ class TestMultisetAlgebra:
         assert hash(Partition([2, 1, 2])) == hash(Partition([2, 2, 1]))
         assert Partition([2, 1]) != Partition([3])
         assert len({Partition([2, 1]), Partition([1, 2])}) == 1
+
+    def test_unequal_to_its_runs_and_to_other_records(self):
+        p = Partition([2, 1])
+        assert p != p.runs and not p == p.runs
+        assert p != BijectionTriple(p, 2, 1)
+
+
+class TestImmutability:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda p: setattr(p, "_runs", ((2, 2),)),
+            lambda p: setattr(p, "runs", ((2, 2),)),
+            lambda p: delattr(p, "runs"),
+            lambda p: setattr(p, "extra", 1),
+        ],
+        ids=["_runs", "runs", "del-runs", "extra"],
+    )
+    def test_refuses_change_and_stays_findable(self, change):
+        p = Partition([3, 1, 1])
+        held = {p}
+        with pytest.raises(AttributeError):
+            change(p)
+        assert p.runs == ((3, 1), (1, 2))
+        assert p in held and Partition([1, 3, 1]) in held
+
+    @pytest.mark.parametrize(
+        "rebuild",
+        [lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    @pytest.mark.parametrize("parts", [[], [1], [4, 2, 2, 1, 1, 1]])
+    def test_pickle_and_copy_rebuild_an_equal_partition(self, rebuild, parts):
+        p = Partition(parts)
+        back = rebuild(p)
+        assert type(back) is Partition
+        assert back == p and back.runs == p.runs and hash(back) == hash(p)
 
 
 @given(parts_lists)
