@@ -14,9 +14,12 @@ Enumeration is in descending lexicographic order of the part sequences, so
 ``(7)`` comes first and ``(1, 1, ..., 1)`` last. The kernel walks a family
 in blocks ``(prefix, p, rest, top, low)``. A block stands for the members
 whose run tuple is ``prefix`` followed by ``(p, a)`` and ``(1, rest - p*a)``,
-for ``a`` from ``top`` down to ``low``, leaving out a run of multiplicity 0.
-Every block holds at least one member; a member that stands alone is the
-block ``(runs, 1, 0, 0, 0)``.
+for ``a`` from ``top`` down to ``low``, leaving out a run of multiplicity 0;
+``_block_tails`` is the one expansion of a block into those tails. Every
+block holds at least one member; a member that stands alone is the block
+``(runs, 1, 0, 0, 0)``. An inferior-regular prefix that still lacks its
+heavy run gives up to two blocks: the members where ``p`` is heavy, then
+those where the 1s are.
 """
 
 from __future__ import annotations
@@ -169,8 +172,8 @@ def _run_blocks(n, divisors, cap, heavy):
     # nonzero heavy asks for exactly one run of multiplicity >= heavy and
     # keeps the others below it. Fills greedily, then backtracks by
     # decrementing the last multiplicity. A level whose part has only size 1
-    # below it among the allowed sizes, with no heavy run pending, is the last
-    # one above the 1s: all its members go out as one block.
+    # below it among the allowed sizes is the last one above the 1s: all its
+    # members go out as one block, or as two when a heavy run is pending.
     allowed = [True] * (n + 1)
     for d in divisors:
         allowed[d::d] = [False] * (n // d)
@@ -184,16 +187,31 @@ def _run_blocks(n, divisors, cap, heavy):
     bound, need = cap, heavy
     while True:
         part = largest[rem if rem < limit else limit] if rem >= need else 0
-        if part and not need and largest[part - 1] == 1:
-            # part^a 1^(rem - part*a) for every a with both runs within bound
-            top = rem // part
-            if top > bound:
-                top = bound
-            low = (rem - bound + part - 1) // part
-            if low < 0:
-                low = 0
-            if top >= low:
-                yield tuple(runs), part, rem, top, low
+        if part and largest[part - 1] == 1:
+            if need:
+                # exactly one of part^a and 1^(rem - part*a) reaches need;
+                # a family with a heavy run has no cap, so bound is n here
+                top = rem // part  # part heavy
+                low = (rem - need + part) // part
+                if low < need:
+                    low = need
+                if top >= low:
+                    yield tuple(runs), part, rem, top, low
+                top = (rem - need) // part  # the 1s heavy
+                if top >= need:
+                    top = need - 1
+                if top >= 0:
+                    yield tuple(runs), part, rem, top, 0
+            else:
+                # part^a 1^(rem - part*a) for every a with both runs within bound
+                top = rem // part
+                if top > bound:
+                    top = bound
+                low = (rem - bound + part - 1) // part
+                if low < 0:
+                    low = 0
+                if top >= low:
+                    yield tuple(runs), part, rem, top, low
             part = 0
         if part:
             mult = rem // part
@@ -232,17 +250,29 @@ def _family_blocks(family: PartitionClass, n: int):
 def enumerate_runs(family: PartitionClass, n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """Run tuples ``((part, mult), ...)`` of the family's members of size n,
     in the order of enumerate_class, without building Partition objects."""
+    shapes = {}  # a block's tails depend only on its shape
     for prefix, part, rest, top, low in _family_blocks(family, n):
-        if not rest:
-            yield prefix
-            continue
-        ones = rest - part * top  # only the first member can lack the 1s
-        if not ones:
-            yield prefix + ((part, top),)
-            top, ones = top - 1, part
-        for a in range(top, low - 1, -1):
-            yield prefix + ((part, a), (1, ones)) if a else prefix + ((1, ones),)
-            ones += part
+        shape = part, rest, top, low
+        tails = shapes.get(shape)
+        if tails is None:
+            tails = shapes[shape] = tuple(_block_tails(part, rest, top, low))
+        for tail in tails:
+            yield prefix + tail
+
+
+def _block_tails(part, rest, top, low):
+    # The runs after the prefix of each member of a block, in block order:
+    # (part, a) and (1, rest - part*a), leaving out a run of multiplicity 0.
+    if not rest:
+        yield ()
+        return
+    ones = rest - part * top  # only the first member can lack the 1s
+    if not ones:
+        yield ((part, top),)
+        top, ones = top - 1, part
+    for a in range(top, low - 1, -1):
+        yield ((part, a), (1, ones)) if a else ((1, ones),)
+        ones += part
 
 
 def enumerate_class(family: PartitionClass, n: int) -> Iterator[Partition]:

@@ -18,6 +18,7 @@ import re
 import sys
 import traceback
 
+from . import classes
 from .classes import (
     ALL,
     CLASS_REGULAR,
@@ -28,7 +29,6 @@ from .classes import (
     NotCoprime,
     PartitionClass,
     TooSmall,
-    enumerate_runs,
     validate_tuple,
 )
 from .glaisher import NotRegular, glaisher_forward, glaisher_inverse
@@ -116,21 +116,42 @@ def _family_from_args(name: str, moduli_text: str | None) -> PartitionClass:
     return PartitionClass(kind, mt)
 
 
-def _bodies(members, sep: str):
-    """Yield the parts of each run tuple joined by ``sep``, without brackets.
+def _block_texts(blocks, before: str, sep: str, after: str):
+    """Yield ``(lead, tails)`` for each block ``(prefix, part, rest, top,
+    low)`` (see classes), in order: the block's members read ``lead + tail``
+    for each tail, as ``before + parts joined by sep + after``.
 
-    The text of each run ``(part, mult)`` is made once per call: a command
-    meets at most the distinct runs of size <= n, O(n log n) of them.
+    The lead is made once per block, and the tails of a block shape
+    ``(part, rest, top, low)`` once per call, so each member costs one
+    concatenation. A command meets at most the distinct runs of size <= n,
+    O(n log n) of them, and O(n^2) block shapes.
     """
-    texts: dict[tuple[int, int], str] = {}
-    for runs in members:
+    run_texts: dict[tuple[int, int], str] = {}
+    tail_texts: dict[tuple[int, int, int, int], list[str]] = {}
+
+    def text(runs):
         pieces = []
         for run in runs:
-            text = texts.get(run)
-            if text is None:
-                text = texts[run] = sep.join([str(run[0])] * run[1])
-            pieces.append(text)
-        yield sep.join(pieces)
+            piece = run_texts.get(run)
+            if piece is None:
+                piece = run_texts[run] = sep.join([str(run[0])] * run[1])
+            pieces.append(piece)
+        return sep.join(pieces)
+
+    for prefix, part, rest, top, low in blocks:
+        shape = part, rest, top, low
+        tails = tail_texts.get(shape)
+        if tails is None:
+            tails = tail_texts[shape] = [
+                text(tail) + after for tail in classes._block_tails(part, rest, top, low)
+            ]
+        lead = before + text(prefix)
+        yield (lead + sep if prefix and rest else lead), tails
+
+
+def _write_blocks(out, texts) -> None:
+    # a block's rows go out in one write: lead + tail1 + lead + tail2 + ...
+    out.writelines(lead + lead.join(tails) for lead, tails in texts)
 
 
 def _csv_writer(stream):
@@ -182,16 +203,17 @@ def _cmd_enumerate(args) -> int:
     if n != sizes[-1]:  # len() of a huge range overflows
         raise UsageError("enumerate takes a single size, not a range")
     _guard("n=", n, MAX_PLAIN_N, args.force)
+    blocks = classes._family_blocks(family, n)
     out = sys.stdout
-    bodies = _bodies(enumerate_runs(family, n), ", " if args.format == "jsonl" else ",")
     if args.format == "csv":
         writer = _csv_writer(out)
         writer.writerow(["partition"])
-        writer.writerows([f"[{b}]"] for b in bodies)
+        texts = _block_texts(blocks, "[", ",", "]")
+        writer.writerows([lead + tail] for lead, tails in texts for tail in tails)
     elif args.format == "jsonl":
-        out.writelines('{"partition": [' + b + "]}\n" for b in bodies)
+        _write_blocks(out, _block_texts(blocks, '{"partition": [', ", ", "]}\n"))
     else:
-        out.writelines(f"[{b}]\n" for b in bodies)
+        _write_blocks(out, _block_texts(blocks, "[", ",", "]\n"))
     return 0
 
 
@@ -203,17 +225,18 @@ def _cmd_glaisher(args) -> int:
         if args.inverse
         else glaisher_forward(partition, modulus)
     )
+    blocks = ((p.runs, 1, 0, 0, 0) for p in trace.states())
     out = sys.stdout
-    bodies = _bodies((p.runs for p in trace.states()), ", " if args.format == "jsonl" else ",")
     if args.format == "csv":
         writer = _csv_writer(out)
         writer.writerow(["step", "partition"])
-        writer.writerows([index, f"[{b}]"] for index, b in enumerate(bodies))
+        texts = _block_texts(blocks, "[", ",", "]")
+        writer.writerows(enumerate(lead + tail for lead, (tail,) in texts))
     elif args.format == "jsonl":
-        out.writelines('{"state": [' + b + "]}\n" for b in bodies)
+        _write_blocks(out, _block_texts(blocks, '{"state": [', ", ", "]}\n"))
         print(json.dumps({"count": trace.count}), file=out)
     else:
-        out.writelines(f"[{b}]\n" for b in bodies)
+        _write_blocks(out, _block_texts(blocks, "[", ",", "]\n"))
         print(f"count={trace.count}", file=out)
     return 0
 

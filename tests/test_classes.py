@@ -290,7 +290,48 @@ def test_enumerate_runs_stays_a_generator_function():
     assert inspect.isgeneratorfunction(classes.enumerate_runs)
 
 
-@pytest.mark.parametrize("raw", [(3,), (2, 3), (3, 7)])
+# two tails that forbid 2, so the part above the 1s is 3 and 5, not 2
+BOUNDARY_TUPLES = [(2,), (3,), (5,), (2, 3), (3, 7), (3, 2), (5, 2, 3)]
+
+
+@pytest.mark.parametrize("raw", BOUNDARY_TUPLES)
+def test_pending_heavy_blocks_keep_their_boundary_members(raw):
+    # At the last level above the 1s, with the heavy run of threshold h still
+    # to place, p^h 1^(h-1) is the last member where p is heavy and
+    # p^(h-1) 1^h the first where the 1s are; p^(h+1) 1^(h-1) is the last
+    # where p is heavy once the 1s bound a above h. Each is listed, alone and
+    # below a larger part q, and each of those sizes lists exactly the
+    # oracle's members.
+    mt = validate_tuple(raw)
+    family = PartitionClass.inferior_regular(mt)
+    h = mt.head
+    p, q = [k for k in range(2, 12) if all(k % d for d in mt.tail)][:2]
+    for prefix in ((), ((q, 1),)):
+        for a, ones in ((h, h - 1), (h - 1, h), (h + 1, h - 1)):
+            runs = prefix + ((p, a), (1, ones))
+            n = sum(part * mult for part, mult in runs)
+            listed = list(enumerate_runs(family, n))
+            assert runs in listed
+            expected = [parts for parts in partitions_desc(n) if in_inferior(parts, h, mt.tail)]
+            assert listed == [_runs_of(parts) for parts in expected]
+
+
+@pytest.mark.parametrize("raw", BOUNDARY_TUPLES)
+def test_every_block_holds_members_of_its_family(raw):
+    mt = validate_tuple(raw)
+    families = [family for family, _ in _families(mt).values()]
+    for family in [PartitionClass.all_partitions(), *families]:
+        for n in range(25):
+            for prefix, part, rest, top, low in classes._family_blocks(family, n):
+                assert top >= low >= 0
+                for tail in classes._block_tails(part, rest, top, low):
+                    assert all(mult > 0 for _, mult in tail)
+                    member = Partition([k for k, mult in prefix + tail for _ in range(mult)])
+                    assert member.size == n
+                    assert is_member(member, family)
+
+
+@pytest.mark.parametrize("raw", [(3,), (2, 3), (3, 7), (2,)])
 def test_counts_match_series_to_degree_60(raw):
     mt = validate_tuple(raw)
     for family, _ in _families(mt).values():

@@ -20,9 +20,10 @@ from regpart import (
     PartitionClass,
     TruncatedSeries,
     enumerate_class,
+    enumerate_runs,
     validate_tuple,
 )
-from regpart import cli
+from regpart import classes, cli
 from regpart.cli import (
     MAX_PLAIN_N,
     MAX_PLAIN_TRUNC,
@@ -563,7 +564,11 @@ def _oracle_rows(family, moduli, n, fmt):
         "rp": lambda parts: in_regular(parts, head, tail),
         "irp": lambda parts: in_inferior(parts, head, tail),
     }[family]
-    members = [list(parts) for parts in partitions_desc(n) if member(parts)]
+    return _enumerate_text([list(parts) for parts in partitions_desc(n) if member(parts)], fmt)
+
+
+def _enumerate_text(members, fmt):
+    """The enumerate output for lists of parts, by the json and csv modules."""
     if fmt == "jsonl":
         return "".join(json.dumps({"partition": parts}) + "\n" for parts in members)
     lines = [json.dumps(parts, separators=(",", ":")) for parts in members]
@@ -595,6 +600,80 @@ class TestEnumerateAgainstOracle:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert out == _oracle_rows(family, moduli, n, fmt)
+
+
+WRITER_FAMILIES = [("all", None)] + [
+    (name, moduli)
+    for name in ("cp", "rp", "irp")
+    for moduli in [(2,), (3,), (2, 3), (3, 7), (5, 3)]
+]
+_FAMILY_BUILDERS = {
+    "all": lambda moduli: PartitionClass.all_partitions(),
+    "cp": PartitionClass.class_regular,
+    "rp": PartitionClass.regular,
+    "irp": PartitionClass.inferior_regular,
+}
+
+
+class TestEnumerateWritesBlocks:
+    @pytest.mark.parametrize("name, moduli", WRITER_FAMILIES)
+    def test_stdout_is_the_text_of_enumerate_runs(self, capsys, name, moduli):
+        family = _FAMILY_BUILDERS[name](moduli)
+        for n in range(21):
+            members = [
+                [part for part, mult in runs for _ in range(mult)]
+                for runs in enumerate_runs(family, n)
+            ]
+            for fmt in ("plain", "csv", "jsonl"):
+                argv = ["enumerate", "--class", name, "--n", str(n), "--format", fmt]
+                if moduli is not None:
+                    argv += ["--moduli", ",".join(map(str, moduli))]
+                assert run(capsys, *argv) == (0, _enumerate_text(members, fmt), "")
+
+    def test_block_tails_are_expanded_once_per_shape(self, capsys, monkeypatch):
+        shapes = []
+        real = classes._block_tails
+
+        def recorded(*shape):
+            shapes.append(shape)
+            return real(*shape)
+
+        monkeypatch.setattr(classes, "_block_tails", recorded)
+        code, out, _ = run(
+            capsys, "enumerate", "--class", "irp", "--moduli", "3", "--n", "30", "--format", "jsonl"
+        )
+        assert code == 0
+        assert 1 < len(shapes) == len(set(shapes)) < len(out.splitlines())
+
+
+# glaisher writes each state as a block of one member
+GLAISHER_TEXT = [
+    ("--parts '' --r 2", "[]\ncount=0\n"),
+    ("--parts '' --r 2 --format csv", "step,partition\n0,[]\n"),
+    ("--parts '' --r 3 --inverse", "[]\ncount=0\n"),
+    ("--parts 7 --r 3 --format csv", "step,partition\n0,[7]\n"),
+    ("--parts 7 --r 3 --format jsonl", '{"state": [7]}\n{"count": 0}\n'),
+    ("--parts 4 --r 2 --inverse", "[4]\n[2,2]\n[2,1,1]\n[1,1,1,1]\ncount=3\n"),
+    (
+        "--parts 4 --r 2 --inverse --format csv",
+        'step,partition\n0,[4]\n1,"[2,2]"\n2,"[2,1,1]"\n3,"[1,1,1,1]"\n',
+    ),
+    (
+        "--parts 4 --r 2 --inverse --format jsonl",
+        '{"state": [4]}\n{"state": [2, 2]}\n{"state": [2, 1, 1]}\n'
+        '{"state": [1, 1, 1, 1]}\n{"count": 3}\n',
+    ),
+    ("--parts 3,3,3,1 --r 3 --format csv", 'step,partition\n0,"[3,3,3,1]"\n1,"[9,1]"\n'),
+    (
+        "--parts 3,3,3,1 --r 3 --format jsonl",
+        '{"state": [3, 3, 3, 1]}\n{"state": [9, 1]}\n{"count": 1}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("args, text", GLAISHER_TEXT)
+def test_glaisher_text(capsys, args, text):
+    assert run(capsys, "glaisher", *shlex.split(args)) == (0, text, "")
 
 
 def _record_stdout_at_each_call(monkeypatch, name):
