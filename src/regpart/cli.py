@@ -84,8 +84,9 @@ def _parse_n_range(text: str) -> range:
 
 
 def _guard(what: str, value: int, limit: int, force: bool) -> None:
-    # what carries its own separator: "n=" or "truncation "; --force lifts
-    # the limit only as far as a list of value + 1 entries can be indexed
+    # what carries its own separator: "n=", "truncation " or "head modulus ";
+    # --force lifts the limit only as far as a list of value + 1 entries can
+    # be indexed
     if force:
         limit = sys.maxsize - 1
     if value > limit:
@@ -298,6 +299,9 @@ def _cmd_verify(args) -> int:
     mt = _parse_moduli(args.moduli)
     if scope == "length" and len(mt) > 1:
         raise UsageError("length scope needs a single modulus")
+    if scope != "series":
+        # xyc writes head - 1 residue rows per size
+        _guard("head modulus ", mt.head, MAX_PLAIN_N, args.force)
     if trunc < 0:
         raise UsageError(f"truncation must be nonnegative, got {trunc}")
     _guard("truncation ", trunc, MAX_PLAIN_TRUNC, args.force)

@@ -59,11 +59,13 @@ def _class_regular_fold(moduli: ModulusTuple, n: int) -> tuple[list[int], int]:
     # One pass over the class-regular family at n: X_j at index j (index 0
     # stays 0) and the merge-operation total. Each block's prefix counts once
     # per member, then each member of a block with a rest adds its runs p^a
-    # and 1^(rest - p*a); merges[0] is 0, so an absent run adds nothing.
+    # and 1^(rest - p*a); merges[0] is 0, so an absent run adds nothing. A
+    # part p <= n has residue at most n, so the list stops at the smaller of
+    # head and n + 1 and X_j is 0 for every j past it.
     _check_int(n, 0, "partition size")  # before merge_counts can blame a run length
     head = moduli.head
     merges = merge_counts(head, n)
-    x_totals = [0] * head
+    x_totals = [0] * min(head, n + 1)
     operations = 0
     family = PartitionClass.class_regular(moduli)
     for prefix, part, rest, top, low in classes._family_blocks(family, n):
@@ -86,8 +88,9 @@ def aggregate(moduli: ModulusTuple | int, n: int) -> XYCReport:
     collect every residue's X and Y and the operation total at once."""
     moduli = validate_tuple(moduli)
     x, operations = _class_regular_fold(moduli, n)
-    # regular multiplicities stay below head; index 0 counts absent runs
-    runs_by_mult = [0] * moduli.head
+    # a regular multiplicity is below head and at most n, so it indexes a
+    # list as long as x; index 0 counts absent runs
+    runs_by_mult = [0] * len(x)
     for prefix, part, rest, top, low in classes._family_blocks(PartitionClass.regular(moduli), n):
         members = top - low + 1
         for _, mult in prefix:
@@ -96,7 +99,11 @@ def aggregate(moduli: ModulusTuple | int, n: int) -> XYCReport:
             for a in range(low, top + 1):
                 runs_by_mult[a] += 1
                 runs_by_mult[rest - part * a] += 1
-    per_residue = {j: (x[j], sum(runs_by_mult[j:])) for j in range(1, moduli.head)}
+    # Y_j counts the runs of multiplicity at least j: one suffix pass
+    for j in range(len(x) - 2, 0, -1):
+        runs_by_mult[j] += runs_by_mult[j + 1]
+    per_residue = {j: (x[j], runs_by_mult[j]) for j in range(1, len(x))}
+    per_residue.update(dict.fromkeys(range(len(x), moduli.head), (0, 0)))
     return XYCReport(moduli=moduli, n=n, per_residue=per_residue, operation_total=operations)
 
 

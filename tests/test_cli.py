@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -319,6 +321,14 @@ class TestVerifySeries:
         )
         assert code == 2
 
+    def test_head_above_the_index_limit(self, capsys):
+        # no series table is sized by the head
+        code, out, err = run(
+            capsys, "verify", "--scope", "series", "--moduli", str(10**22 - 1), "--trunc", "3"
+        )
+        assert (code, err) == (0, "")
+        assert [line.endswith(" PASS") for line in out.splitlines()] == [True] * 4
+
     def test_truncation_zero_jsonl(self, capsys):
         code, out, err = run(
             capsys, "verify", "--scope", "series", "--moduli", "2,3", "--trunc", "0",
@@ -549,6 +559,44 @@ class TestGoldenOutput:
         assert got_code == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert got_err == err
+
+
+def _readme_commands():
+    """(arguments, shown output lines) for every ``$ regpart ...`` line in the
+    README's sh blocks; the output is the lines after it, up to a blank line."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```$", readme.read_text(), re.M | re.S):
+        shown = None
+        for line in block.splitlines():
+            if line.startswith("$ regpart "):
+                shown = []
+                commands.append((line.removeprefix("$ regpart "), shown))
+            elif line and shown is not None:
+                shown.append(line)
+            else:
+                shown = None
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize(
+    "command, shown", README_COMMANDS, ids=[command for command, _ in README_COMMANDS]
+)
+def test_readme_command(capsys, command, shown):
+    # output shown in full must match byte for byte; where the README elides
+    # it with "...", the lines before and after the ellipsis must match
+    code, out, err = run(capsys, *shlex.split(command))
+    assert (code, err) == (0, "")
+    if "..." in shown:
+        cut = shown.index("...")
+        lines = out.splitlines()
+        assert lines[:cut] == shown[:cut]
+        assert lines[len(lines) - len(shown[cut + 1:]):] == shown[cut + 1:]
+    elif shown:
+        assert out == "".join(line + "\n" for line in shown)
 
 
 ORACLE_MODULI = [(2,), (3,), (5,), (2, 3), (3, 7)]
@@ -849,6 +897,43 @@ class TestGuards:
         assert "Traceback" not in err
         limit = sys.maxsize - 1
         assert err == f"error: UsageError: refusing {what} above {limit}, even with --force\n"
+
+    @pytest.mark.parametrize("force", [False, True], ids=["plain", "force"])
+    @pytest.mark.parametrize("scope", ["xyc", "length", "all"])
+    @pytest.mark.parametrize("head", [10**22 - 1, sys.maxsize])
+    def test_head_above_the_index_limit_is_refused(self, capsys, head, scope, force):
+        code, out, err = run(
+            capsys, "verify", "--scope", scope, "--moduli", str(head), "--n", "3",
+            *(["--force"] if force else []),
+        )
+        hint = f"{sys.maxsize - 1}, even with --force" if force else "200; pass --force to override"
+        assert (code, out) == (2, "")
+        assert err == f"error: UsageError: refusing head modulus {head} above {hint}\n"
+
+    @pytest.mark.parametrize("scope", ["xyc", "length", "all"])
+    def test_head_boundary(self, capsys, scope):
+        argv = ["verify", "--scope", scope, "--n", "3", "--trunc", "0"]
+        code, out, err = run(capsys, *argv, "--moduli", str(MAX_PLAIN_N))
+        assert (code, err) == (0, "")
+        xyc_rows = [line for line in out.splitlines() if " j=" in line]
+        assert len(xyc_rows) == (0 if scope == "length" else MAX_PLAIN_N - 1)
+        code, out, err = run(capsys, *argv, "--moduli", str(MAX_PLAIN_N + 1))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: UsageError: refusing head modulus {MAX_PLAIN_N + 1} above {MAX_PLAIN_N}; "
+            "pass --force to override\n"
+        )
+        assert run(capsys, *argv, "--moduli", str(MAX_PLAIN_N + 1), "--force")[0] == 0
+
+    def test_forced_head_writes_one_row_per_residue(self, capsys):
+        # the statistics are sized by n, so 100,002 rows take seconds
+        code, out, err = run(
+            capsys, "verify", "--scope", "xyc", "--moduli", "100003", "--n", "2", "--force"
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b2a77ad5ff4451fbf9404afc9fc4536055b02c0a3cf377465d8e4501fb16ed41"
+        )
 
     def test_guard_n(self):
         _guard("n=", 200, MAX_PLAIN_N, False)

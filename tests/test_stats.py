@@ -104,12 +104,19 @@ def test_aggregate_matches_brute_force(raw, n):
     _assert_aggregate_is_brute_force(raw, n)
 
 
-@pytest.mark.parametrize("raw", [(2,), (3,), (2, 3, 7)])
+@pytest.mark.parametrize("raw", [(2,), (3,), (2, 3, 7), (13,)])
 def test_aggregate_matches_brute_force_at_every_small_size(raw):
     # head 2 caps every regular run at one copy, which makes a block's lowest
-    # multiplicity tightest; the class-regular blocks of (2, 3, 7) sit on part 5
+    # multiplicity tightest; the class-regular blocks of (2, 3, 7) sit on part
+    # 5; head 13 sizes the statistics by n up to n = 12 and by the head above
     for n in range(17):
         _assert_aggregate_is_brute_force(raw, n)
+
+
+def test_aggregate_matches_brute_force_with_a_head_far_above_n():
+    # every residue past n reads (0, 0)
+    for n in range(9):
+        _assert_aggregate_is_brute_force((1009,), n)
 
 
 @pytest.mark.parametrize("raw", [(3, 5), (5, 3), (4, 7), (3, 5, 7), (2, 3, 7)])
