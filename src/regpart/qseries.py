@@ -11,8 +11,8 @@ subset of the moduli. Multiplying or dividing by each E costs O(N^1.5), so
 a family over m moduli costs about 2^m * N^1.5 coefficient steps instead
 of the N^2 of one dense pass per factor; that dense product is a test
 oracle. The inferior-regular family applies the same quotient to a tail of
-divisor counts. ``stats.verify_series_vs_enumeration`` compares each series
-coefficient by coefficient with direct enumeration.
+divisor counts. ``stats.verify_series_vs_enumeration`` checks the four
+family series of a tuple with one enumeration walk per family per degree.
 """
 
 from __future__ import annotations

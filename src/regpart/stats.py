@@ -17,16 +17,20 @@ simulating any merge, and one pass over the regular family gives Y. The
 xyc and length checks are views of that record, so a caller that runs both
 at one size walks each family once. The xyc check adds the inferior-regular
 count, read from its generating function as a witness independent of the
-operation total. The series check, which compares each family generating
-function with enumeration, reads only the class-regular fold. Each result
+operation total. The series check compares the generating functions of a
+modulus tuple's four families with enumeration in one walk per family per
+degree, the class-regular one also giving the operation totals. Each result
 type stores only counts; its verdict, differences and hypothesis flag are
 properties derived from them, so it cannot disagree with its counts.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from . import classes
-from .classes import INFERIOR_REGULAR, ModulusTuple, PartitionClass, count_class, validate_tuple
+from .classes import (CLASS_REGULAR, INFERIOR_REGULAR, ModulusTuple, PartitionClass, count_class,
+                      validate_tuple)
 from .glaisher import merge_counts
 from .partition import _check_int, _Value
 from .qseries import TruncatedSeries, gf_class
@@ -55,21 +59,22 @@ class XYCReport(_Value):
         return self.moduli.tail_congruent
 
 
-def _class_regular_fold(moduli: ModulusTuple, n: int) -> tuple[list[int], int]:
+def _class_regular_fold(moduli: ModulusTuple, n: int) -> tuple[list[int], int, int]:
     # One pass over the class-regular family at n: X_j at index j (index 0
-    # stays 0) and the merge-operation total. Each block's prefix counts once
-    # per member, then each member of a block with a rest adds its runs p^a
-    # and 1^(rest - p*a); merges[0] is 0, so an absent run adds nothing. A
-    # part p <= n has residue at most n, so the list stops at the smaller of
-    # head and n + 1 and X_j is 0 for every j past it.
+    # stays 0), the merge-operation total and the member count. Each block's
+    # prefix counts once per member, then each member of a block with a rest
+    # adds its runs p^a and 1^(rest - p*a); merges[0] is 0, so an absent run
+    # adds nothing. A part p <= n has residue at most n, so the list stops at
+    # the smaller of head and n + 1 and X_j is 0 for every j past it.
     _check_int(n, 0, "partition size")  # before merge_counts can blame a run length
     head = moduli.head
     merges = merge_counts(head, n)
     x_totals = [0] * min(head, n + 1)
-    operations = 0
+    operations = count = 0
     family = PartitionClass.class_regular(moduli)
     for prefix, part, rest, top, low in classes._family_blocks(family, n):
         members = top - low + 1
+        count += members
         for p, mult in prefix:
             x_totals[p % head] += mult * members
             operations += merges[mult] * members
@@ -80,14 +85,14 @@ def _class_regular_fold(moduli: ModulusTuple, n: int) -> tuple[list[int], int]:
                 x_totals[residue] += a
                 x_totals[1] += ones
                 operations += merges[a] + merges[ones]
-    return x_totals, operations
+    return x_totals, operations, count
 
 
 def aggregate(moduli: ModulusTuple | int, n: int) -> XYCReport:
     """Walk the class-regular and the regular family of size n once each and
     collect every residue's X and Y and the operation total at once."""
     moduli = validate_tuple(moduli)
-    x, operations = _class_regular_fold(moduli, n)
+    x, operations, _ = _class_regular_fold(moduli, n)
     # a regular multiplicity is below head and at most n, so it indexes a
     # list as long as x; index 0 counts absent runs
     runs_by_mult = [0] * len(x)
@@ -208,24 +213,26 @@ class SeriesCheck(_Value):
         return self.count_mismatch is None and self.operations_mismatch is None
 
 
-def _first_difference(series: TruncatedSeries, value_at) -> int | None:
-    return next(
-        (d for d in range(series.truncation + 1) if series[d] != value_at(d)), None
-    )
+def _first_difference(series: TruncatedSeries, values: list[int]) -> int | None:
+    return next((d for d, value in enumerate(values) if series[d] != value), None)
 
 
-def verify_series_vs_enumeration(family: PartitionClass, truncation: int) -> SeriesCheck:
-    """Compare every coefficient up to the truncation with enumeration."""
-    series = gf_class(family, truncation)
-    count_mismatch = _first_difference(series, lambda d: count_class(family, d))
-    operations_mismatch = None
-    if family.kind == INFERIOR_REGULAR:
-        operations_mismatch = _first_difference(
-            series, lambda d: _class_regular_fold(family.moduli, d)[1]
-        )
-    return SeriesCheck(
-        family=family,
-        series=series,
-        count_mismatch=count_mismatch,
-        operations_mismatch=operations_mismatch,
-    )
+def verify_series_vs_enumeration(
+    moduli: ModulusTuple | int, truncation: int
+) -> Iterator[SeriesCheck]:
+    """Yield the checks of the all, class-regular, regular and inferior-regular
+    series of the moduli against enumeration up to the truncation, in that
+    order, each as soon as its family has been walked once per degree."""
+    moduli = validate_tuple(moduli)
+    _check_int(truncation, 0, "truncation")
+    for family in (PartitionClass.all_partitions(), PartitionClass.class_regular(moduli),
+                   PartitionClass.regular(moduli), PartitionClass.inferior_regular(moduli)):
+        if family.kind == CLASS_REGULAR:  # keep each fold's operation and member totals
+            folds = [_class_regular_fold(moduli, d)[1:] for d in range(truncation + 1)]
+            counts = [members for _, members in folds]
+        else:
+            counts = [count_class(family, d) for d in range(truncation + 1)]
+        operations = [ops for ops, _ in folds] if family.kind == INFERIOR_REGULAR else []
+        series = gf_class(family, truncation)
+        yield SeriesCheck(family, series, _first_difference(series, counts),
+                          _first_difference(series, operations))

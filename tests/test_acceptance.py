@@ -112,12 +112,9 @@ def test_criterion_6_length_identity_sweep(capsys):
 
 def test_criterion_7_series_match_enumeration(capsys):
     with criterion(capsys, 7, "series match enumeration"):
-        checks = [verify_series_vs_enumeration(PartitionClass.all_partitions(), 40)]
+        checks = []
         for moduli in (2, 3, 5, (2, 3), (3, 5), (3, 7)):
-            mt = validate_tuple(moduli)
-            checks.append(verify_series_vs_enumeration(PartitionClass.class_regular(mt), 40))
-            checks.append(verify_series_vs_enumeration(PartitionClass.regular(mt), 40))
-            checks.append(verify_series_vs_enumeration(PartitionClass.inferior_regular(mt), 40))
+            checks.extend(verify_series_vs_enumeration(moduli, 40))
         for check in checks:
             assert check.count_mismatch is None, check
             assert check.operations_mismatch is None, check

@@ -724,25 +724,25 @@ def test_glaisher_text(capsys, args, text):
     assert run(capsys, "glaisher", *shlex.split(args)) == (0, text, "")
 
 
-def _record_stdout_at_each_call(monkeypatch, name):
-    # replace stdout and wrap the named cli function; each call records the
-    # call's arguments and what stdout held when it started
+def _record_stdout_at_each_call(monkeypatch, module, name):
+    # replace stdout and wrap the named function of the module; each call
+    # records the call's arguments and what stdout held when it started
     out = io.StringIO()
     calls = []
-    real = getattr(cli, name)
+    real = getattr(module, name)
 
     def recorded(*args):
         calls.append((args, out.getvalue()))
         return real(*args)
 
-    monkeypatch.setattr(cli, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     monkeypatch.setattr(sys, "stdout", out)
     return out, calls
 
 
 class TestStreaming:
     def test_first_xyc_row_is_written_before_the_last_size_is_computed(self, monkeypatch):
-        out, calls = _record_stdout_at_each_call(monkeypatch, "aggregate")
+        out, calls = _record_stdout_at_each_call(monkeypatch, cli, "aggregate")
         assert main(["verify", "--scope", "xyc", "--moduli", "3", "--n", "0..6"]) == 0
         first_row = out.getvalue().splitlines()[0]
         (_, last_n), written = calls[-1]
@@ -750,10 +750,12 @@ class TestStreaming:
         assert written.startswith(first_row + "\n")
 
     def test_series_rows_are_written_before_the_inferior_check_starts(self, monkeypatch):
-        _, calls = _record_stdout_at_each_call(monkeypatch, "verify_series_vs_enumeration")
+        # every count walks the family's blocks, so the first inferior-regular
+        # walk starts the inferior check
+        _, calls = _record_stdout_at_each_call(monkeypatch, classes, "_family_blocks")
         assert main(["verify", "--scope", "series", "--moduli", "3", "--trunc", "8"]) == 0
-        (family, _), written = calls[-1]
-        assert family == PartitionClass.inferior_regular(3)
+        inferior = PartitionClass.inferior_regular(3)
+        written = next(written for (family, _), written in calls if family == inferior)
         rows = [line.split()[0] for line in written.splitlines()]
         assert rows == ["family=all", "family=class-regular", "family=regular"]
 

@@ -218,27 +218,31 @@ class TestSeriesRewrites:
 
 class TestVerification:
     def test_regular_pair_of_families(self):
-        check = verify_series_vs_enumeration(PartitionClass.regular(2), 20)
+        _, _, check, _ = verify_series_vs_enumeration(2, 20)
+        assert check.family == PartitionClass.regular(2)
         assert check.ok
         assert check.count_mismatch is None
         assert check.operations_mismatch is None
         assert check.regular_counts_differ_at is None
 
     def test_inferior_family(self):
-        check = verify_series_vs_enumeration(PartitionClass.inferior_regular(3), 10)
+        *_, check = verify_series_vs_enumeration(3, 10)
+        assert check.family == PartitionClass.inferior_regular(3)
         assert check.ok
         assert check.series[7] == 6
         assert check.operations_mismatch is None
 
     def test_all_family(self):
-        check = verify_series_vs_enumeration(PartitionClass.all_partitions(), 10)
+        check, *_ = verify_series_vs_enumeration(3, 10)
+        assert check.family == PartitionClass.all_partitions()
         assert check.ok
 
     def test_inferior_records_departure_from_regular_counts(self):
         # always degree 0: the regular family holds the empty partition and
         # the inferior-regular family does not
         for raw in (2, 3, (2, 3), (3, 7)):
-            check = verify_series_vs_enumeration(PartitionClass.inferior_regular(raw), 10)
+            *_, check = verify_series_vs_enumeration(raw, 10)
+            assert check.family == PartitionClass.inferior_regular(raw)
             assert check.ok
             assert check.regular_counts_differ_at == 0
         # the streams diverge past degree 0 too: at size 3 the inferior

@@ -1,4 +1,4 @@
-from collections import Counter, defaultdict
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -14,9 +14,11 @@ from oracles import (
     partitions_desc,
 )
 from regpart import (
+    ALL,
     CLASS_REGULAR,
     INFERIOR_REGULAR,
     REGULAR,
+    NotCoprime,
     PartitionClass,
     SeriesCheck,
     TruncatedSeries,
@@ -179,32 +181,17 @@ class TestLengthIdentity:
             verify_length_identity(report)
 
 
-def test_series_check_walks_each_family_once_per_degree_it_reads(monkeypatch):
-    # every enumeration, count and fold goes through the one block entry
-    walks = defaultdict(list)
-    real = classes._family_blocks
-
-    def recorded(family, n):
-        walks[family.kind].append(n)
-        return real(family, n)
-
-    monkeypatch.setattr(classes, "_family_blocks", recorded)
-    check = verify_series_vs_enumeration(PartitionClass.inferior_regular(3), 12)
-    assert check.ok
-    assert check.regular_counts_differ_at == 0
-    assert walks[REGULAR] == []
-    assert walks[CLASS_REGULAR] == list(range(13))
-    assert walks[INFERIOR_REGULAR] == list(range(13))
-
-
 @pytest.mark.parametrize("scope, extra, walked", [
-    ("all", ["--trunc", "0"], (CLASS_REGULAR, REGULAR)),
-    ("length", [], (CLASS_REGULAR, REGULAR)),
-    ("xyc", [], (CLASS_REGULAR, REGULAR)),
+    ("all", ["--n", "0..12", "--trunc", "0"], (CLASS_REGULAR, REGULAR)),
+    ("length", ["--n", "0..12"], (CLASS_REGULAR, REGULAR)),
+    ("xyc", ["--n", "0..12"], (CLASS_REGULAR, REGULAR)),
+    ("series", ["--trunc", "12"], (ALL, CLASS_REGULAR, REGULAR, INFERIOR_REGULAR)),
 ])
 def test_verify_walks_each_family_once_per_size(monkeypatch, scope, extra, walked):
     # the xyc and length sections read one report per size, and the xyc
-    # rows read the inferior-regular count from its series, not a walk
+    # rows read the inferior-regular count from its series, not a walk; the
+    # series section walks each family once per degree, its class-regular
+    # fold giving both that family's counts and the operation totals
     walks = Counter()
     real = classes._family_blocks
 
@@ -213,7 +200,7 @@ def test_verify_walks_each_family_once_per_size(monkeypatch, scope, extra, walke
         return real(family, n)
 
     monkeypatch.setattr(classes, "_family_blocks", recorded)
-    assert main(["verify", "--scope", scope, "--moduli", "3", "--n", "0..12", *extra]) == 0
+    assert main(["verify", "--scope", scope, "--moduli", "3", *extra]) == 0
     lowest = 1 if scope == "all" else 0  # the series section walks size 0 again
     assert {key: count for key, count in walks.items() if key[1] >= lowest} == {
         (kind, n): 1 for kind in walked for n in range(lowest, 13)
@@ -242,7 +229,7 @@ def test_verdicts_differences_and_hypothesis_flags_are_derived(moduli):
     report = aggregate(mt, 7)
     rows = verify_xyc(report)
     length = verify_length_identity(aggregate(mt.head, 7))
-    series = verify_series_vs_enumeration(PartitionClass.inferior_regular(mt), 6)
+    *_, series = verify_series_vs_enumeration(mt, 6)
     assert [len(type(r)._fields) for r in (rows[0], report, length, series)] == [7, 4, 5, 4]
     assert report.hypothesis_holds == mt.tail_congruent
     for row in rows:
@@ -260,6 +247,14 @@ def test_verdicts_differences_and_hypothesis_flags_are_derived(moduli):
         with pytest.raises(TypeError):
             type(result)(**values, **{name: getattr(result, name)})
     assert xyc_exit_code(verify_xyc(aggregate(mt, 5))) == 0
+
+
+@pytest.mark.parametrize("moduli, error", [({3, 5}, TypeError), ((2, 4), NotCoprime)])
+def test_series_verifier_refuses_bad_moduli_before_any_check(moduli, error):
+    yielded = []
+    with pytest.raises(error):
+        yielded.extend(verify_series_vs_enumeration(moduli, 4))
+    assert yielded == []
 
 
 @pytest.mark.parametrize(
