@@ -150,25 +150,36 @@ def _block_texts(blocks, before: str, sep: str, after: str):
         yield (lead + sep if prefix and rest else lead), tails
 
 
-def _write_blocks(out, texts) -> None:
-    # a block's rows go out in one write: lead + tail1 + lead + tail2 + ...
-    out.writelines(lead + lead.join(tails) for lead, tails in texts)
+def _write_partitions(blocks, fmt, key, header) -> None:
+    """Write one row per member of the blocks: ``[parts]`` in plain,
+    ``{key: [parts]}`` in jsonl, and csv rows under the header, numbered from
+    0 when the header has a step column before the partition."""
+    if fmt == "jsonl":
+        texts = _block_texts(blocks, f'{{"{key}": [', ", ", "]}\n")
+    else:
+        texts = _block_texts(blocks, "[", ",", "]" if fmt == "csv" else "]\n")
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        rows = (lead + tail for lead, tails in texts for tail in tails)
+        writer.writerows(zip(itertools.count(), rows) if len(header) > 1 else zip(rows))
+    else:
+        # a block's rows go out in one write: lead + tail1 + lead + tail2 + ...
+        sys.stdout.writelines(lead + lead.join(tails) for lead, tails in texts)
 
 
-def _csv_writer(stream):
-    return csv.writer(stream, lineterminator="\n")
-
-
-def _emit_rows(results, columns, fmt, stream) -> list:
-    """Write one row per result as soon as it arrives and return the results.
+def _emit_rows(results, columns, fmt, stream) -> int:
+    """Write one row per result as soon as it arrives and return the exit
+    status the rows give: 1 if a row failed under its hypothesis (a row with
+    no hypothesis column always counts), else 0. No result is kept.
 
     ``columns`` is a table of (name, getter) pairs: the names make the header
     and the jsonl keys, and each getter reads its cell from a result.
     """
-    writer = _csv_writer(stream)
+    writer = csv.writer(stream, lineterminator="\n")
     if fmt == "csv":
         writer.writerow([name for name, _ in columns])
-    kept = []
+    code = 0
     for result in results:
         row = {name: get(result) for name, get in columns}
         if fmt == "csv":
@@ -183,8 +194,9 @@ def _emit_rows(results, columns, fmt, stream) -> list:
             ]
             print(" ".join(pieces) + (" PASS" if row["pass"] else " FAIL"), file=stream)
         stream.flush()
-        kept.append(result)
-    return kept
+        if not row["pass"] and row.get("hypothesis", True):
+            code = 1
+    return code
 
 
 def _cell(value):
@@ -204,17 +216,7 @@ def _cmd_enumerate(args) -> int:
     if n != sizes[-1]:  # len() of a huge range overflows
         raise UsageError("enumerate takes a single size, not a range")
     _guard("n=", n, MAX_PLAIN_N, args.force)
-    blocks = classes._family_blocks(family, n)
-    out = sys.stdout
-    if args.format == "csv":
-        writer = _csv_writer(out)
-        writer.writerow(["partition"])
-        texts = _block_texts(blocks, "[", ",", "]")
-        writer.writerows([lead + tail] for lead, tails in texts for tail in tails)
-    elif args.format == "jsonl":
-        _write_blocks(out, _block_texts(blocks, '{"partition": [', ", ", "]}\n"))
-    else:
-        _write_blocks(out, _block_texts(blocks, "[", ",", "]\n"))
+    _write_partitions(classes._family_blocks(family, n), args.format, "partition", ["partition"])
     return 0
 
 
@@ -226,19 +228,13 @@ def _cmd_glaisher(args) -> int:
         if args.inverse
         else glaisher_forward(partition, modulus)
     )
+    # each state is a block of one member
     blocks = ((p.runs, 1, 0, 0, 0) for p in trace.states())
-    out = sys.stdout
-    if args.format == "csv":
-        writer = _csv_writer(out)
-        writer.writerow(["step", "partition"])
-        texts = _block_texts(blocks, "[", ",", "]")
-        writer.writerows(enumerate(lead + tail for lead, (tail,) in texts))
-    elif args.format == "jsonl":
-        _write_blocks(out, _block_texts(blocks, '{"state": [', ", ", "]}\n"))
-        print(json.dumps({"count": trace.count}), file=out)
-    else:
-        _write_blocks(out, _block_texts(blocks, "[", ",", "]\n"))
-        print(f"count={trace.count}", file=out)
+    _write_partitions(blocks, args.format, "state", ["step", "partition"])
+    if args.format == "jsonl":
+        print(json.dumps({"count": trace.count}))
+    elif args.format == "plain":
+        print(f"count={trace.count}")
     return 0
 
 
@@ -274,16 +270,6 @@ SERIES_COLUMNS = (
 )
 
 
-def xyc_exit_code(rows) -> int:
-    """Failures only count against the exit code under the hypothesis."""
-    return checks_exit_code(row for row in rows if row.hypothesis_holds)
-
-
-def checks_exit_code(checks) -> int:
-    """0 when every length or series check passed, 1 otherwise."""
-    return 0 if all(check.ok for check in checks) else 1
-
-
 def _cmd_verify(args) -> int:
     scope = args.scope
     (trunc,) = _ints([args.trunc], "truncation", args.trunc)
@@ -306,26 +292,26 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"truncation must be nonnegative, got {trunc}")
     _guard("truncation ", trunc, MAX_PLAIN_TRUNC, args.force)
 
-    # one report per size feeds both the xyc and the length section
-    xyc_reports, length_reports = itertools.tee(aggregate(mt, n) for n in sizes)
-    # (name, results, columns, exit rule); every results entry is lazy, so
-    # each row is written as soon as its size or family is done
+    # one report per size; a tee would hold every report until the length
+    # section reads it, so only --scope all with one modulus shares them
+    reports = (aggregate(mt, n) for n in sizes)
+    both = scope == "all" and len(mt) == 1
+    xyc_reports, length_reports = itertools.tee(reports) if both else (reports, reports)
+    # (name, results, columns); every results entry is lazy, so each row is
+    # written as soon as its size or family is done
     sections = [
-        ("xyc", (row for report in xyc_reports for row in verify_xyc(report)),
-         XYC_COLUMNS, xyc_exit_code),
-        ("length", (verify_length_identity(report) for report in length_reports),
-         LENGTH_COLUMNS, checks_exit_code),
-        ("series", verify_series_vs_enumeration(mt, trunc), SERIES_COLUMNS, checks_exit_code),
+        ("xyc", (row for report in xyc_reports for row in verify_xyc(report)), XYC_COLUMNS),
+        ("length", map(verify_length_identity, length_reports), LENGTH_COLUMNS),
+        ("series", verify_series_vs_enumeration(mt, trunc), SERIES_COLUMNS),
     ]
     exit_code = 0
-    for name, results, columns, exit_rule in sections:
+    for name, results, columns in sections:
         if scope not in (name, "all"):
             continue
         if name == "length" and len(mt) > 1:
             print("length: skipped, needs a single modulus", file=sys.stderr)
             continue
-        kept = _emit_rows(results, columns, args.format, sys.stdout)
-        exit_code = max(exit_code, exit_rule(kept))
+        exit_code = max(exit_code, _emit_rows(results, columns, args.format, sys.stdout))
     return exit_code
 
 

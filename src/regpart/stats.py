@@ -66,6 +66,10 @@ def _class_regular_fold(moduli: ModulusTuple, n: int) -> tuple[list[int], int, i
     # adds its runs p^a and 1^(rest - p*a); merges[0] is 0, so an absent run
     # adds nothing. A part p <= n has residue at most n, so the list stops at
     # the smaller of head and n + 1 and X_j is 0 for every j past it.
+    # This fold and aggregate's regular one step a themselves rather than read
+    # classes._block_tails: a (part, mult) count dict, blocks handed out as
+    # (prefix, tails) and a held[part][mult] table each slowed aggregate(3, n)
+    # over n <= 30 by 8% to 25%.
     _check_int(n, 0, "partition size")  # before merge_counts can blame a run length
     head = moduli.head
     merges = merge_counts(head, n)

@@ -25,7 +25,7 @@ from regpart import (
     verify_xyc,
 )
 from regpart.classes import INFERIOR_REGULAR
-from regpart.cli import xyc_exit_code
+from regpart.cli import main
 
 SINGLE_MODULI = (2, 3, 4, 5)
 TUPLE_MODULI = ((2, 3), (2, 5), (3, 4), (3, 7), (2, 3, 7))
@@ -74,7 +74,9 @@ def test_criterion_3_violating_tuple_is_informational(capsys):
         assert table == [(1, 11, 8, 3), (2, 3, 2, 1)]
         assert all(not r.hypothesis_holds for r in rows)
         assert all(not r.ok for r in rows)
-        assert xyc_exit_code(rows) == 0
+        assert main(["verify", "--scope", "xyc", "--moduli", "3,5", "--n", "5"]) == 0
+        out = capsys.readouterr().out
+        assert [line.split()[-1] for line in out.splitlines()] == ["FAIL", "FAIL"]
 
 
 def test_criterion_4_single_modulus_difference_sweep(capsys):

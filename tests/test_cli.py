@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -14,7 +15,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import in_class_regular, in_inferior, in_regular, partitions_desc
+from oracles import (
+    count_congruent_parts,
+    count_repeated_sizes,
+    in_class_regular,
+    in_inferior,
+    in_regular,
+    merge_count_closed_form,
+    partitions_desc,
+)
 
 from regpart import (
     InvalidTriple,
@@ -31,9 +40,7 @@ from regpart.cli import (
     MAX_PLAIN_TRUNC,
     UsageError,
     _guard,
-    checks_exit_code,
     main,
-    xyc_exit_code,
 )
 from regpart.stats import LengthCheck, SeriesCheck, XYCRow
 
@@ -650,6 +657,76 @@ class TestEnumerateAgainstOracle:
         assert out == _oracle_rows(family, moduli, n, fmt)
 
 
+VERIFY_ORACLE_MODULI = [(3,), (5,), (2, 3), (3, 5)]
+XYC_HEADER = ["moduli", "n", "j", "X", "Y", "diff", "c", "inferior", "hypothesis", "pass"]
+LENGTH_HEADER = ["modulus", "n", "class_regular_lengths", "regular_lengths", "operations", "pass"]
+
+
+def _verify_oracle_rows(scope, moduli, n):
+    """The cells of the xyc or length rows of one size, from brute-force
+    partitions and the family definitions."""
+    head, tail = moduli[0], moduli[1:]
+    partitions = list(partitions_desc(n))
+    class_regular = [parts for parts in partitions if in_class_regular(parts, moduli)]
+    regular = [parts for parts in partitions if in_regular(parts, head, tail)]
+    operations = sum(merge_count_closed_form(parts, head) for parts in class_regular)
+    if scope == "length":
+        lengths = sum(map(len, class_regular)), sum(map(len, regular))
+        return [[head, n, *lengths, operations,
+                 lengths[0] - lengths[1] == (head - 1) * operations]]
+    inferior = sum(1 for parts in partitions if in_inferior(parts, head, tail))
+    hypothesis = all(modulus % head == 1 for modulus in tail)
+    rows = []
+    for j in range(1, head):
+        x = sum(count_congruent_parts(parts, head, j) for parts in class_regular)
+        y = sum(count_repeated_sizes(parts, j) for parts in regular)
+        rows.append([list(moduli), n, j, x, y, x - y, operations, inferior, hypothesis,
+                     x - y == operations == inferior])
+    return rows
+
+
+def _verify_text(header, rows, fmt):
+    """The verify output for rows of cells, by the json and csv modules: out
+    of jsonl a list is joined by commas and a bool reads true or false, and
+    a plain row ends in PASS or FAIL instead of its pass cell."""
+    if fmt == "jsonl":
+        return "".join(json.dumps(dict(zip(header, row))) + "\n" for row in rows)
+
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+    if fmt == "plain":
+        return "".join(
+            " ".join(f"{name}={cell(value)}" for name, value in zip(header, row[:-1]))
+            + (" PASS\n" if row[-1] else " FAIL\n")
+            for row in rows
+        )
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cell(value) for value in row] for row in rows)
+    return out.getvalue()
+
+
+class TestVerifyAgainstOracle:
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "jsonl"])
+    @pytest.mark.parametrize("scope, moduli", [
+        *(("xyc", moduli) for moduli in VERIFY_ORACLE_MODULI),
+        *(("length", moduli) for moduli in VERIFY_ORACLE_MODULI if len(moduli) == 1),
+    ])
+    def test_stdout_matches_the_oracle(self, capsys, scope, moduli, fmt):
+        # every size n <= 10; the (3, 5) rows fail without the hypothesis,
+        # which leaves the exit code 0
+        code, out, err = run(capsys, "verify", "--scope", scope, "--n", "0..10", "--format", fmt,
+                             "--moduli", ",".join(map(str, moduli)))
+        assert (code, err) == (0, "")
+        rows = [row for n in range(11) for row in _verify_oracle_rows(scope, moduli, n)]
+        header = XYC_HEADER if scope == "xyc" else LENGTH_HEADER
+        assert out == _verify_text(header, rows, fmt)
+
+
 WRITER_FAMILIES = [("all", None)] + [
     (name, moduli)
     for name in ("cp", "rp", "irp")
@@ -775,6 +852,31 @@ class TestStreaming:
         assert "Traceback" in err
         assert "RuntimeError: internal fault" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--scope", "length", "--moduli", "1009"],
+        ["--scope", "xyc", "--moduli", "307"],
+    ], ids=["length", "xyc"])
+    def test_memory_does_not_grow_with_the_number_of_sizes(self, monkeypatch, argv):
+        # stdout keeps nothing, so the traced peak is what the run itself
+        # holds; a first untraced run fills every bounded cache beforehand.
+        # Both heads are above the plain limit, hence --force
+        class Sink(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+
+        def peak(sizes):
+            tracemalloc.start()
+            try:
+                assert main(["verify", *argv, "--force", "--n", sizes]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert main(["verify", *argv, "--force", "--n", "0..12"]) == 0
+        assert peak("0..12") < 1.5 * peak("0..1")
+
 
 class TestClosedPipe:
     # the reader takes a few bytes, or none, and goes away; the glaisher output
@@ -815,28 +917,43 @@ def _xyc_row(moduli, ok):
     )
 
 
-class TestExitCodeReducers:
-    def test_xyc_failure_under_hypothesis(self):
-        assert xyc_exit_code([_xyc_row(3, False)]) == 1
+GOOD_LENGTH = LengthCheck(2, 3, 4, 3, 1)
+BAD_LENGTH = LengthCheck(2, 3, 4, 3, 2)
+GOOD_SERIES = SeriesCheck(PartitionClass.regular(2), TruncatedSeries([1, 1, 1]), None, None)
+BAD_SERIES = SeriesCheck(PartitionClass.regular(2), TruncatedSeries([1, 1, 1]), 2, None)
 
-    def test_xyc_informational_failure(self):
-        assert xyc_exit_code([_xyc_row((3, 5), False)]) == 0
 
-    def test_xyc_pass(self):
-        assert xyc_exit_code([_xyc_row(3, True)]) == 0
-
-    def test_length_reducer(self):
-        good = LengthCheck(2, 3, 4, 3, 1)
-        bad = LengthCheck(2, 3, 4, 3, 2)
-        assert checks_exit_code([good]) == 0
-        assert checks_exit_code([good, bad]) == 1
-
-    def test_series_reducer(self):
-        family = PartitionClass.regular(2)
-        good = SeriesCheck(family, TruncatedSeries([1, 1, 1]), None, None)
-        bad = SeriesCheck(family, TruncatedSeries([1, 1, 1]), 2, None)
-        assert checks_exit_code([good]) == 0
-        assert checks_exit_code([bad]) == 1
+@pytest.mark.parametrize(
+    "scope, moduli, results, code",
+    [
+        ("xyc", "3", [_xyc_row(3, False)], 1),
+        ("xyc", "3,5", [_xyc_row((3, 5), False)], 0),
+        ("xyc", "3", [_xyc_row(3, True)], 0),
+        ("xyc", "3", [_xyc_row(3, False), _xyc_row(3, True)], 1),
+        ("length", "2", [GOOD_LENGTH], 0),
+        ("length", "2", [BAD_LENGTH, GOOD_LENGTH], 1),
+        ("series", "2", [GOOD_SERIES], 0),
+        ("series", "2", [BAD_SERIES, GOOD_SERIES], 1),
+    ],
+    ids=["xyc-fail", "xyc-informational", "xyc-pass", "xyc-fail-then-pass", "length-pass",
+         "length-fail-then-pass", "series-pass", "series-fail-then-pass"],
+)
+def test_exit_status_is_read_from_the_rows_written(
+    capsys, monkeypatch, scope, moduli, results, code
+):
+    # each size's report, or the series section, yields the crafted results
+    # in turn; a FAIL row counts only under its hypothesis, and every row is
+    # still written after a failure
+    crafted = iter(results)
+    monkeypatch.setattr(cli, "verify_xyc", lambda report: (next(crafted),))
+    monkeypatch.setattr(cli, "verify_length_identity", lambda report: next(crafted))
+    monkeypatch.setattr(cli, "verify_series_vs_enumeration", lambda moduli, trunc: crafted)
+    got, out, err = run(capsys, "verify", "--scope", scope, "--moduli", moduli,
+                        "--n", f"0..{len(results) - 1}", "--trunc", "2")
+    assert (got, err) == (code, "")
+    assert [line.split()[-1] for line in out.splitlines()] == [
+        "PASS" if result.ok else "FAIL" for result in results
+    ]
 
 
 class TestGuards:
@@ -1008,3 +1125,70 @@ class TestErrorMapping:
             assert out == ""
             assert "Traceback" in err
             assert f"{error.__name__}: internal fault" in err
+
+
+# Token pools for the argv fuzz. The well-formed values are small, and every
+# over-limit value lies above the size, truncation and head limits alike, so
+# an unforced run either stays small or is refused. No draw pairs --force or
+# glaisher --inverse with an over-limit value: the work guard bounds neither
+# yet.
+FUZZ_SMALL = {
+    "--n": ["0", "1", "4", "7", "0..3", "2..5"],
+    "--moduli": ["2", "3", "5", "2,3", "3,5", "2,3,7", "3,2", "2,4", "1"],
+    "--trunc": ["0", "3", "6"],
+    "--parts": ["", "4,2", "1,1,1,1", "6,3,3", "9,3,1", "2,2"],
+    "--r": ["1", "2", "3"],
+    "--modulus": ["1", "2", "3"],
+}
+FUZZ_MALFORMED = ["", " ", "x", "3..", "..3", "5..2", "1_0", "3,,5", ",", "0x4", "2.0", "--n", "-"]
+FUZZ_SIGNED = ["-1", "+3", "-0", " +2 ", "+-4", "-2..3", "+1..+3", "-3,5"]
+FUZZ_NON_ASCII = ["\uff13", "\u0663", "\u00e9", "3\u00a0", "\u2167", "0..\u0661"]
+FUZZ_OVER_LIMIT = ["501", "0..501", "1025", str(10**30), "9" * 22, str(sys.maxsize)]
+FUZZ_CHOICES = {
+    "--class": [*sorted(cli._CLASS_NAMES), "none"],
+    "--scope": ["xyc", "length", "series", "all", "none"],
+    "--format": ["plain", "csv", "jsonl", "xml"],
+}
+FUZZ_FLAGS = {
+    "enumerate": ["--class", "--moduli", "--n", "--format", "--force"],
+    "glaisher": ["--parts", "--r", "--modulus", "--inverse", "--format"],
+    "verify": ["--scope", "--moduli", "--n", "--format", "--force"],
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    # each flag comes three times in four, and a well-formed value half the time
+    flags = [flag for flag in FUZZ_FLAGS[command] if draw(st.sampled_from([1, 1, 1, 0]))]
+    if command == "verify":
+        flags.append("--trunc")  # the default degree 60 takes seconds
+    pools = [FUZZ_MALFORMED, FUZZ_SIGNED, FUZZ_NON_ASCII]
+    if "--force" not in flags and "--inverse" not in flags:
+        pools.append(FUZZ_OVER_LIMIT)
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if flag in FUZZ_CHOICES:
+            argv.append(draw(st.sampled_from(FUZZ_CHOICES[flag])))
+        elif flag in FUZZ_SMALL:
+            pool = draw(st.sampled_from([FUZZ_SMALL[flag]] * len(pools) + pools))
+            argv.append(draw(st.sampled_from(pool)))
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(argv=_fuzz_argv())
+    def test_every_argv_exits_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+            assert sum("error:" in line for line in err.getvalue().splitlines()) == 1

@@ -70,13 +70,14 @@ TEXT_RULES = [
         LIBRARY, 1,
         "src/regpart prunes a partition walk outside classes._run_blocks",
     ),
-    # a block's first member is written once, in classes._block_tails, so
-    # enumerate_runs and cli read members from it and grow no second expansion
+    # a block's first member is expanded once, in classes._block_tails, which
+    # enumerate_runs and cli read members from; stats' two folds step a
+    # themselves for speed and never write the first member's runs
     (
         "one-member-expansion",
         r"ones = rest - part \* top",
         LIBRARY, 1,
-        "src/regpart expands a block into members outside classes._block_tails",
+        "src/regpart writes a block's first member outside classes._block_tails",
     ),
     # the text of a run (part, mult) is made once, in cli._block_texts, so
     # every enumerate and glaisher row is built by one rule
